@@ -12,7 +12,7 @@ from .errors import (
     TermBudgetError,
     ValidationError,
 )
-from .poly import LiouvilleOperator, Polynomial, apply_liouville, liouville_powers, support
+from .poly import LiouvilleOperator, Polynomial, apply_liouville, liouville_powers
 from .systems import PolySystem, fpu_chain, harmonic_chain, kraichnan_orszag
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "harmonic_chain",
     "kraichnan_orszag",
     "liouville_powers",
-    "support",
 ]

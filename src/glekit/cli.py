@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return cmd_mc(cfg)
         if args.command == "kl":
-            return cmd_kl(cfg)
+            return cmd_kl(cfg, args.correlation_file)
         raise ValidationError(f"unknown command {args.command!r}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,12 +33,15 @@ def write_columns(path, columns: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def read_columns(path):
-    with open(path) as fh:
-        first = fh.readline()
-        meta = json.loads(first[1:].strip()) if first.startswith("#") else {}
-        header = (fh.readline() if first.startswith("#") else first).strip()
-        names = header.split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            meta = json.loads(first[1:].strip()) if first.startswith("#") else {}
+            header = (fh.readline() if first.startswith("#") else first).strip()
+            names = header.split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     data = np.array(rows, dtype=float)
     if data.size == 0:
         raise ValidationError(f"no data rows in {path}")

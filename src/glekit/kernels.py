@@ -349,17 +349,27 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
         raise ValidationError("no admissible orders: need mu up to at least 7")
     diag = SelectionDiagnostics()
     best = None
-    for n in orders:
-        for delta in deltas:
-            fp = FaberParams(c0=c0, c1=c1, delta=float(delta))
-            ka = build_kernel(MuSequence(mu.values[:n + 2]), "faber", fp, obs)
-            kb = build_kernel(MuSequence(mu.values[:n]), "faber", fp, obs)
+    # (order, delta) -> (kernel, correlation), None if the solve failed; each
+    # order is solved once, as C_n and as C_{n+2}'s partner
+    solved = {}
+
+    def solve(n: int, delta: float):
+        if (n, delta) not in solved:
+            k = build_kernel(MuSequence(mu.values[:n + 2]), "faber",
+                             FaberParams(c0=c0, c1=c1, delta=delta), obs)
             try:
-                ca = solve_correlation(ka.streaming, ka, grid)
-                cb = solve_correlation(kb.streaming, kb, grid)
+                solved[n, delta] = k, solve_correlation(k.streaming, k, grid)
             except NumericError:
+                solved[n, delta] = None
+        return solved[n, delta]
+
+    for n in orders:
+        for delta in map(float, deltas):
+            a, b = solve(n, delta), solve(n - 2, delta)
+            if a is None or b is None:
                 diag.rejected["solve"] += 1
                 continue
+            (ka, ca), (_, cb) = a, b
             if np.max(np.abs(ca.values)) > bound or np.max(np.abs(cb.values)) > bound:
                 diag.rejected["bound"] += 1
                 continue
@@ -368,7 +378,7 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
                 diag.rejected["not_psd"] += 1
                 continue
             gap = float(np.max(np.abs(ca.values - cb.values)))
-            diag.scores[(n, float(delta))] = gap
+            diag.scores[n, delta] = gap
             if best is None or gap < best[0]:
                 best = (gap, ka, ratio)
     if best is None:

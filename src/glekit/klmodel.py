@@ -21,7 +21,8 @@ from scipy import special
 
 from .errors import NumericError, ValidationError
 from .measures import Density1D, moment
-from .volterra import Series, TimeGrid, _derivative_4
+from .simulate import int_power
+from .volterra import Series, TimeGrid, _derivative_4, _march, _sample_kernel
 
 ENERGY_FLOOR = 1e-8
 CLIP_TOL = 1e-6
@@ -41,9 +42,6 @@ class KLBasis:
     @property
     def rank(self) -> int:
         return len(self.eigenvalues)
-
-    def mode_series(self) -> list[Series]:
-        return [Series(self.grid, self.modes[:, k]) for k in range(self.rank)]
 
     def reconstruct_covariance(self) -> np.ndarray:
         lam = self.eigenvalues
@@ -283,6 +281,8 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     """
     if n_samples < 10 * basis.rank:
         raise ValidationError("need at least 10 samples per retained mode")
+    if iters < 1:
+        raise ValidationError("need at least one sampler sweep")
     basis = _sampling_truncation(basis, n_samples, mode_floor)
     rng = np.random.default_rng(seed)
     s = n_samples
@@ -290,9 +290,6 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     qs = marginal.quantile((np.arange(s) + 0.5) / s)
     target_acf = basis.source_acf
     probes = np.linspace(0.01, 0.99, 99)
-    marg_err = mom_err = acf_err = np.inf
-    done_iters = 0
-    converged = False
     for it in range(1, iters + 1):
         paths = _build_paths(basis, xi)
         order = np.argsort(paths, axis=0)
@@ -302,7 +299,6 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
         xi = _project_xi(basis, remapped)
         xi -= xi.mean(axis=0)
         xi /= np.maximum(xi.std(axis=0), 1e-300)
-        done_iters = it
         paths = _build_paths(basis, xi)
         marg_err = _marginal_error(paths, marginal, probes)
         mom_err = _moment_error(paths, qs)
@@ -314,14 +310,14 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
             break
     if not converged:
         warnings.warn(
-            f"marginal sampler did not converge in {done_iters} iterations "
+            f"marginal sampler did not converge in {it} iterations "
             f"(marginal error {marg_err:.3g}, tail-moment error {mom_err:.3g}, "
             f"ACF error {acf_err:.3g})",
             RuntimeWarning, stacklevel=2)
-    return SampleEnsemble(basis=basis, xi=xi, paths=_build_paths(basis, xi),
+    return SampleEnsemble(basis=basis, xi=xi, paths=paths,
                           seed=seed, marginal_error=marg_err,
                           moment_error=mom_err, acf_error=acf_err,
-                          converged=converged, iterations=done_iters)
+                          converged=converged, iterations=it)
 
 
 def _fft_acf(rows: np.ndarray, m: int, batch: int = 2048):
@@ -338,7 +334,7 @@ def _fft_acf(rows: np.ndarray, m: int, batch: int = 2048):
     total = np.zeros(n)
     total_sq = np.zeros(n)
     for lo in range(0, s, batch):
-        v = rows[lo:lo + batch] ** m
+        v = int_power(rows[lo:lo + batch], m)
         spec = np.fft.rfft(v, nfft, axis=1)
         corr = np.fft.irfft(np.abs(spec) ** 2, nfft, axis=1)[:, :n] / counts
         total += corr.sum(axis=0)
@@ -381,10 +377,9 @@ def gle_sample_paths(omega: float, kernel, f_paths: np.ndarray,
                      u0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Integrate du/dt = Omega u + int K(t-s) u(s) ds + f(t) per sample.
 
-    Same trapezoid/predictor-corrector scheme as the correlation solver,
-    vectorized across samples.
+    The correlation solver's marcher, run on the whole batch at once;
+    returns an (samples, n_nodes) array.
     """
-    from .volterra import _sample_kernel
     k = _sample_kernel(kernel, grid)
     f = np.asarray(f_paths, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -393,27 +388,7 @@ def gle_sample_paths(omega: float, kernel, f_paths: np.ndarray,
         raise ValidationError("forcing paths do not match the grid")
     if u0.shape != (s,):
         raise ValidationError("one initial value per forcing path required")
-    dt = grid.dt
-    u = np.empty((s, n_nodes))
-    u[:, 0] = u0
-    half_k0 = 0.5 * k[0]
-    for i in range(n_nodes - 1):
-        if i == 0:
-            conv_i = np.zeros(s)
-        else:
-            conv_i = 0.5 * k[i] * u[:, 0] + half_k0 * u[:, i]
-            if i > 1:
-                conv_i += u[:, 1:i] @ k[i - 1:0:-1]
-        fi = omega * u[:, i] + dt * conv_i + f[:, i]
-        pred = u[:, i] + dt * fi
-        conv_next = 0.5 * k[i + 1] * u[:, 0] + half_k0 * pred
-        if i >= 1:
-            conv_next += u[:, 1:i + 1] @ k[i:0:-1]
-        f_next = omega * pred + dt * conv_next + f[:, i + 1]
-        u[:, i + 1] = u[:, i] + 0.5 * dt * (fi + f_next)
-    if not np.all(np.isfinite(u)):
-        raise NumericError("path integration produced non-finite values")
-    return u
+    return _march(k, omega, u0, grid.dt, f.T).T
 
 
 def compute_v_matrix(basis: KLBasis, gram: float = 1.0) -> np.ndarray:

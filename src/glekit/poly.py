@@ -321,8 +321,3 @@ def liouville_powers(op: LiouvilleOperator, u0: Polynomial, n: int,
                 f"term budget {cap} exceeded at power {i} "
                 f"(completed {i - 1})", power_reached=i - 1) from exc
     return seq
-
-
-def support(poly: Polynomial) -> set[int]:
-    """Set of variables appearing with positive exponent in ``poly``."""
-    return poly.support()

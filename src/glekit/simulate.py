@@ -197,6 +197,19 @@ def _field(state: ChainState, name: str) -> np.ndarray:
     return state.r if name == "r" else state.p
 
 
+def int_power(x: np.ndarray, m: int) -> np.ndarray:
+    """``x ** m`` for an integer m >= 1 in a new array, by squaring and multiplying.
+
+    NumPy's float ``x ** m`` calls pow() for every m but 2, over ten times slower.
+    """
+    out = np.array(x, dtype=float)
+    for bit in bin(m)[3:]:
+        np.square(out, out=out)
+        if bit == "1":
+            out *= x
+    return out
+
+
 def mc_autocorrelation(params: ChainParams, observable: Observable,
                        n_samples: int, grid: TimeGrid, seed=None,
                        sim_dt: float = 1e-3, site_average: bool = True,
@@ -227,15 +240,14 @@ def mc_autocorrelation(params: ChainParams, observable: Observable,
         rng = np.random.default_rng(children[b])
         size = min(batch, n_samples - b * batch)
         state = sample_equilibrium(params, rng, batch=size)
-        obs0 = _field(state, observable.field) ** m
+        obs0 = int_power(_field(state, observable.field), m)
         prods = np.empty((size, n_out))
-        current = _field(state, observable.field) ** m
-        prods[:, 0] = (obs0 * current).mean(axis=-1) if site_average else \
-            (obs0 * current)[:, observable.site]
+        prods[:, 0] = (obs0 * obs0).mean(axis=-1) if site_average else \
+            (obs0 * obs0)[:, observable.site]
         verlet = _Verlet(state, params, sim_dt)
         for i in range(1, n_out):
             state = verlet.advance(stride)
-            current = _field(state, observable.field) ** m
+            current = int_power(_field(state, observable.field), m)
             prods[:, i] = (obs0 * current).mean(axis=-1) if site_average else \
                 (obs0 * current)[:, observable.site]
         return prods

@@ -1,9 +1,12 @@
 """Time-domain solvers for the scalar GLE correlation and fluctuation modes.
 
-All convolutions use trapezoidal product integration on uniform grids; the
-correlation solve advances with a one-step predictor-corrector, so the whole
-module is second-order in dt.  Kernel deconvolution runs the same discrete
-equations backwards as a forward substitution whose pivot is dt*C(0)/2.
+All convolutions use trapezoidal product integration on uniform grids, so the
+whole module is second-order in dt.  One predictor-corrector marcher,
+:func:`_march`, solves the correlation equation and the GLE sample paths of
+:mod:`glekit.klmodel`.  Two solvers keep their own loops on purpose, since
+each solves for what the marcher takes as given: kernel deconvolution (a
+forward substitution for K with pivot dt*C(0)/2) and the coupled fluctuation
+modes (a K x K endpoint system per step, as the kernel depends on them).
 """
 
 from __future__ import annotations
@@ -86,37 +89,34 @@ def _sample_kernel(kernel, grid: TimeGrid) -> np.ndarray:
     return k
 
 
-def solve_correlation(omega: float, kernel, grid: TimeGrid, c0: float = 1.0) -> Series:
-    """Integrate dC/dt = Omega C + int_0^t K(t-s) C(s) ds with C(0) = c0.
+def _march(k: np.ndarray, omega: float, x0, dt: float, forcing) -> np.ndarray:
+    """March dx/dt = Omega x + int_0^t K(t-s) x(s) ds + f(t) over the nodes of ``k``.
 
-    Trapezoidal convolution plus a single predictor-corrector sweep per step.
+    Trapezoidal convolution, one predictor-corrector sweep per step.  The
+    state is time-major, ``(len(k),) + shape(x0)``, so a scalar start and a
+    batch share the loop; ``forcing[i]`` broadcasts against ``x0``.  Each
+    step's history sum serves its corrector and the next step's rate.
     """
-    k = _sample_kernel(kernel, grid)
-    dt = grid.dt
-    n = grid.n_steps
-    c = np.empty(n + 1)
-    c[0] = c0
+    x = np.empty((len(k),) + np.shape(x0))
+    x[0] = x0
     half_k0 = 0.5 * k[0]
+    rate = omega * x[0] + forcing[0]
+    for i in range(len(k) - 1):
+        hist = np.dot(k[i:0:-1], x[1:i + 1])
+        end = 0.5 * k[i + 1] * x[0]
+        pred = x[i] + dt * rate
+        rate_pred = omega * pred + dt * (end + half_k0 * pred + hist) + forcing[i + 1]
+        x[i + 1] = x[i] + 0.5 * dt * (rate + rate_pred)
+        rate = omega * x[i + 1] + dt * (end + half_k0 * x[i + 1] + hist) + forcing[i + 1]
+    if not np.all(np.isfinite(x)):
+        raise NumericError("Volterra march produced non-finite values")
+    return x
 
-    def rate(i: int, ci: float) -> float:
-        if i == 0:
-            return omega * ci
-        conv = 0.5 * k[i] * c[0] + half_k0 * ci
-        if i > 1:
-            conv += np.dot(k[i - 1:0:-1], c[1:i])
-        return omega * ci + dt * conv
 
-    for i in range(n):
-        fi = rate(i, c[i])
-        pred = c[i] + dt * fi
-        conv_next = 0.5 * k[i + 1] * c[0] + half_k0 * pred
-        if i >= 1:
-            conv_next += np.dot(k[i:0:-1], c[1:i + 1])
-        f_next = omega * pred + dt * conv_next
-        c[i + 1] = c[i] + 0.5 * dt * (fi + f_next)
-    if not np.all(np.isfinite(c)):
-        raise NumericError("correlation solve produced non-finite values")
-    return Series(grid, c)
+def solve_correlation(omega: float, kernel, grid: TimeGrid, c0: float = 1.0) -> Series:
+    """Integrate dC/dt = Omega C + int_0^t K(t-s) C(s) ds with C(0) = c0."""
+    k = _sample_kernel(kernel, grid)
+    return Series(grid, _march(k, omega, c0, grid.dt, np.zeros(grid.n_nodes)))
 
 
 def _derivative_4(values: np.ndarray, dt: float) -> np.ndarray:
@@ -226,14 +226,11 @@ def solve_fluctuation_modes(modes, lambdas, omega: float, mode,
     rhs0 = de - omega * e  # e_k' - Omega e_k at every node
 
     if isinstance(mode, GeneralMode) and mode.kernel is not None:
+        # trapezoid rule: the full discrete convolution less half its end terms
         k = _sample_kernel(mode.kernel, grid)
-        h = np.empty_like(e)
-        h[0] = rhs0[0]
-        for i in range(1, nn):
-            conv = 0.5 * k[i] * e[0] + 0.5 * k[0] * e[i]
-            if i > 1:
-                conv += k[i - 1:0:-1] @ e[1:i]
-            h[i] = rhs0[i] - dt * conv
+        full = np.fft.irfft(np.fft.rfft(k, 2 * nn)[:, None] * np.fft.rfft(e, 2 * nn, axis=0),
+                            2 * nn, axis=0)[:nn]
+        h = rhs0 - dt * (full - 0.5 * (np.outer(k, e[0]) + k[0] * e))
         return [Series(grid, h[:, j]) for j in range(nk)]
 
     # Coupled modes: K(t) = sum_j w_j h_j(t) with w fixed by h(0).

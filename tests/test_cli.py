@@ -106,6 +106,32 @@ def test_kl_command_outputs(tmp_path):
     assert np.all(np.abs(acf1.values - target) <= np.maximum(3 * acf1.se, 0.06))
 
 
+def test_kl_command_from_correlation_file(tmp_path):
+    # a tabulated correlation replaces the inline pipeline, which alone
+    # knows the kernel and so alone writes the fluctuation modes
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "corr"),
+                       kernel={"basis": "faber", "order": 16, "mode": "exact"},
+                       kl={"n_samples": 3000, "iters": 4, "seed": 5})
+    assert main(["correlate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    code = main(["kl", str(cfg), "--set", f"output_dir={out}",
+                 "--correlation-file", str(tmp_path / "corr" / "correlation.csv")])
+    assert code == 0
+    for name in ("modes.csv", "acf_m1.csv", "acf_m2.csv", "acf_m4.csv", "manifest.json"):
+        assert (out / name).exists()
+    assert not (out / "hmodes.csv").exists()
+    assert not (out / "noise_acf.csv").exists()
+
+
+def test_missing_input_file_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    missing = str(tmp_path / "no_such.csv")
+    assert main(["kl", str(cfg), "--correlation-file", missing]) == 2
+    assert main(["correlate", str(cfg), "--kernel-file", missing]) == 2
+    assert "no_such.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_determinism_same_seed_identical_files(tmp_path):
     cfg_a = write_config(tmp_path / "a.json", output_dir=str(tmp_path / "outA"))
     cfg_b = write_config(tmp_path / "b.json", output_dir=str(tmp_path / "outB"))

@@ -28,6 +28,7 @@ from glekit.kernels import (
 from glekit.klmodel import CLIP_TOL, kl_decompose, psd_ratio
 from glekit.measures import Gaussian, ProductMeasure, gibbs_measure
 from glekit.poly import LiouvilleOperator, Polynomial
+from glekit import volterra
 from glekit.systems import fpu_chain, harmonic_chain, momentum_index
 from glekit.volterra import TimeGrid, solve_correlation
 
@@ -355,3 +356,26 @@ def test_selector_error_names_rejection_reasons(quartic_selection):
     mus, obs, grid, indefinite = quartic_selection
     with pytest.raises(ValidationError, match="not_psd"):
         select_kernel_by_consistency(mus, grid, orders=[6], deltas=[0.3], obs=obs)
+
+
+def test_consistency_scan_solves_each_correlation_once(quartic_selection, monkeypatch):
+    # every order but the top one is both a candidate C_n and the partner
+    # C_{n-2} of the next order up; each is solved once and used twice
+    mus, obs, grid, _ = quartic_selection
+    solved = []
+
+    def counting_solve(omega, kernel, grid, c0=1.0):
+        solved.append((kernel.order, kernel.delta))
+        return solve_correlation(omega, kernel, grid, c0)
+
+    monkeypatch.setattr(volterra, "solve_correlation", counting_solve)
+    kern, diag = select_kernel_by_consistency(mus, grid, obs=obs)
+    orders, n_deltas = range(6, len(mus) - 1, 2), 33  # the default grid
+    assert len(solved) == len(set(solved)) == (len(orders) + 1) * n_deltas
+    assert len(diag.scores) + sum(diag.rejected.values()) == len(orders) * n_deltas
+    assert diag.scores[kern.order, kern.delta] == min(diag.scores.values())
+    for (n, delta), gap in diag.scores.items():
+        fp = FaberParams(delta=delta)
+        c_n, c_lower = (solve_correlation(k.streaming, k, grid) for k in (
+            build_kernel(MuSequence(mus.values[:m + 2]), "faber", fp, obs) for m in (n, n - 2)))
+        assert gap == float(np.max(np.abs(c_n.values - c_lower.values)))

@@ -332,3 +332,6 @@ def test_gle_paths_isserlis_m2(harmonic_basis):
 def test_sample_count_precondition(harmonic_basis):
     with pytest.raises(ValidationError):
         sample_ensemble(harmonic_basis, GaussianMarginal(), 5 * harmonic_basis.rank)
+    # without a remap sweep there are no paths to return
+    with pytest.raises(ValidationError, match="sweep"):
+        sample_ensemble(harmonic_basis, GaussianMarginal(), 4000, iters=0)

@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from glekit.errors import ConditioningError, NumericError, ValidationError
+from glekit.klmodel import gle_sample_paths
 from glekit.volterra import (
     GeneralMode,
     HamiltonianMode,
@@ -203,3 +204,93 @@ def test_single_mode_against_dense_solve():
 def test_general_mode_needs_kernel_or_v():
     with pytest.raises(ValidationError):
         GeneralMode()
+
+
+# The three formulas below are the hand-written loops the shared marcher and
+# the known-kernel convolution replaced, kept as references.
+
+def _reference_correlation(omega, k, dt, c0):
+    n = len(k) - 1
+    c = np.empty(n + 1)
+    c[0] = c0
+    half_k0 = 0.5 * k[0]
+
+    def rate(i, ci):
+        if i == 0:
+            return omega * ci
+        conv = 0.5 * k[i] * c[0] + half_k0 * ci
+        if i > 1:
+            conv += np.dot(k[i - 1:0:-1], c[1:i])
+        return omega * ci + dt * conv
+
+    for i in range(n):
+        fi = rate(i, c[i])
+        pred = c[i] + dt * fi
+        conv_next = 0.5 * k[i + 1] * c[0] + half_k0 * pred
+        if i >= 1:
+            conv_next += np.dot(k[i:0:-1], c[1:i + 1])
+        c[i + 1] = c[i] + 0.5 * dt * (fi + omega * pred + dt * conv_next)
+    return c
+
+
+def _reference_paths(omega, k, f, u0, dt):
+    s, n_nodes = f.shape
+    u = np.empty((s, n_nodes))
+    u[:, 0] = u0
+    half_k0 = 0.5 * k[0]
+    for i in range(n_nodes - 1):
+        conv_i = np.zeros(s)
+        if i > 0:
+            conv_i = 0.5 * k[i] * u[:, 0] + half_k0 * u[:, i]
+            if i > 1:
+                conv_i += u[:, 1:i] @ k[i - 1:0:-1]
+        fi = omega * u[:, i] + dt * conv_i + f[:, i]
+        pred = u[:, i] + dt * fi
+        conv_next = 0.5 * k[i + 1] * u[:, 0] + half_k0 * pred
+        if i >= 1:
+            conv_next += u[:, 1:i + 1] @ k[i:0:-1]
+        f_next = omega * pred + dt * conv_next + f[:, i + 1]
+        u[:, i + 1] = u[:, i] + 0.5 * dt * (fi + f_next)
+    return u
+
+
+def _reference_known_kernel_modes(k, e, rhs0, dt):
+    h = np.empty_like(e)
+    h[0] = rhs0[0]
+    for i in range(1, len(e)):
+        conv = 0.5 * k[i] * e[0] + 0.5 * k[0] * e[i]
+        if i > 1:
+            conv += k[i - 1:0:-1] @ e[1:i]
+        h[i] = rhs0[i] - dt * conv
+    return h
+
+
+def _close(new, ref):
+    return np.max(np.abs(new - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dt,horizon", [(0.01, 4.0), (1e-3, 10.0)])
+def test_marcher_matches_reference_formulas(dt, horizon):
+    from glekit.volterra import _derivative_4
+    grid = TimeGrid(dt=dt, horizon=horizon)
+    k = bessel_kernel(grid.times)
+    rng = np.random.default_rng(7)
+    for omega, c0 in ((0.0, 1.0), (-0.3, 1.7)):
+        c = solve_correlation(omega, k, grid, c0=c0)
+        assert _close(c.values, _reference_correlation(omega, k, dt, c0))
+    # batched start with forcing, and a batch of one
+    f = 0.5 * rng.standard_normal((6, grid.n_nodes))
+    u0 = rng.standard_normal(6)
+    for rows in (slice(None), slice(0, 1)):
+        u = gle_sample_paths(-0.3, k, f[rows], u0[rows], grid)
+        assert _close(u, _reference_paths(-0.3, k, f[rows], u0[rows], dt))
+    # smooth forcing: a nonzero integrable drive rather than white noise
+    f_smooth = np.sin(grid.times)[None, :] * np.array([[1.0], [-2.0]])
+    u = gle_sample_paths(0.4, k, f_smooth, np.array([0.0, 1.5]), grid)
+    assert _close(u, _reference_paths(0.4, k, f_smooth, np.array([0.0, 1.5]), dt))
+    e = np.column_stack([_cosine_basis(grid, j) for j in range(4)])
+    lam = np.array([1.0, 0.6, 0.3, 0.1])
+    hs = solve_fluctuation_modes(e, lam, -0.3, GeneralMode(kernel=k), grid)
+    de = np.column_stack([_derivative_4(e[:, j], dt) for j in range(4)])
+    ref = _reference_known_kernel_modes(k, e, de + 0.3 * e, dt)
+    assert _close(np.column_stack([h.values for h in hs]), ref)
