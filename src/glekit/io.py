@@ -36,15 +36,21 @@ def read_columns(path):
     try:
         with open(path) as fh:
             first = fh.readline()
-            meta = json.loads(first[1:].strip()) if first.startswith("#") else {}
             header = (fh.readline() if first.startswith("#") else first).strip()
-            names = header.split(",")
             rows = [line.strip().split(",") for line in fh if line.strip()]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
-    data = np.array(rows, dtype=float)
+    names = header.split(",")
+    try:
+        meta = json.loads(first[1:].strip()) if first.startswith("#") else {}
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:  # bad JSON header, non-numeric cell or ragged row
+        raise ValidationError(f"malformed {path}: {exc}") from exc
     if data.size == 0:
         raise ValidationError(f"no data rows in {path}")
+    if data.shape[1] != len(names):
+        raise ValidationError(f"{path} has {len(names)} column names "
+                              f"but {data.shape[1]} columns")
     return {n: data[:, i] for i, n in enumerate(names)}, meta
 
 

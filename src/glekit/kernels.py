@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy import special
 
 from .errors import NumericError, ValidationError
-from .measures import ProductMeasure, expectation, moment, product_expectation
+from .measures import ProductMeasure, moment, product_expectation
 from .poly import LiouvilleOperator, Polynomial, apply_liouville
 
 DEFAULT_GAMMA_TERM_CAP = 10_000_000

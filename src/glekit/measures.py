@@ -1,18 +1,24 @@
 """Per-variable equilibrium densities and moment/expectation evaluation.
 
 All stock densities are even, so odd moments are exactly zero (an ``int`` 0,
-not a small float).  That exactness is what makes odd Liouville moments of
-Hamiltonian chains vanish identically in rational mode: every contributing
-monomial carries at least one odd exponent and is short-circuited before any
-floating-point moment is touched.
+not a small float), and a pair of terms contributes to E[f*g] only when
+their odd-exponent variables coincide.  That is what makes odd Liouville
+moments of Hamiltonian chains vanish identically.
+
+Expectations are array code.  A polynomial becomes a small-int exponent
+matrix (terms x the sorted union of the supports) and a coefficient vector;
+moments come from a table with one row per distinct density, filled through
+:func:`moment`.  The arithmetic is float64 when any moment or coefficient is
+a float (quartic densities) and exact otherwise, on object arrays of
+``int``/``Fraction`` (Gaussian measures), so exact tables stay exact.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -146,11 +152,6 @@ def moment(d: Density1D, m: int):
     return val
 
 
-def variance(d: Density1D):
-    m1 = moment(d, 1)
-    return moment(d, 2) - m1 * m1
-
-
 @dataclass(frozen=True)
 class ProductMeasure:
     """Independent per-variable densities keyed by variable index."""
@@ -190,73 +191,87 @@ def gibbs_measure(system, gamma) -> ProductMeasure:
     return ProductMeasure(dens)
 
 
+def _layout(polys, measure: ProductMeasure, copies: int):
+    """Term codes, packed odd bits and coefficients of each polynomial; moment table.
+
+    Columns are the sorted union of the supports, padded to an even count.
+    Column c has the moment row moment(d_c, 0..top), where ``top`` is the
+    largest exponent a product of ``copies`` terms can reach.  Columns 2s and
+    2s+1 share row s of the returned table, the outer product of their
+    moment rows, in which a term with exponents (x, y) there has the code
+    x*W + y, W = top + 1.  The code of a product of terms is the sum of their
+    codes, since x + y <= top never carries.
+    """
+    flat = [np.fromiter(chain.from_iterable(chain.from_iterable(p._terms)), np.intp)
+            for p in polys]
+    cols = np.unique(np.concatenate([v[0::2] for v in flat]))
+    top = copies * int(max(v[1::2].max(initial=0) for v in flat))
+    dens = [measure.density(v) for v in cols.tolist()]
+    uniq = {id(d): d for d in dens}  # one moment row per distinct density
+    table = [[1] * (top + 1)]  # row 0 serves the padding column
+    table += [[moment(d, m) for m in range(top + 1)] for d in uniq.values()]
+    col_row = np.array([list(uniq).index(id(d)) + 1 for d in dens] + [0] * (len(cols) % 2),
+                       np.intp)
+    coeffs = [np.array(list(p._terms.values()), dtype=object) for p in polys]
+    dtype = float if any(isinstance(x, float) for x in chain(*table, *coeffs)) else object
+    t = np.array(table, dtype=dtype)
+    pairs = (t[:, None, :, None] * t[None, :, None, :]).reshape(-1, (top + 1) ** 2)
+    pairs = pairs[col_row[0::2] * len(t) + col_row[1::2]]
+    codes, odds = [], []
+    for p, v in zip(polys, flat):
+        e = np.zeros((len(p._terms), len(col_row)), np.min_scalar_type(top))
+        lens = np.fromiter(map(len, p._terms), np.intp, len(p._terms))
+        e[np.repeat(np.arange(len(lens)), lens), np.searchsorted(cols, v[0::2])] = v[1::2]
+        odds.append(np.packbits(e & 1, axis=1))
+        codes.append(e[:, 0::2].astype(np.min_scalar_type(pairs.size)) * (top + 1)
+                     + e[:, 1::2])
+    return codes, odds, [c.astype(dtype) for c in coeffs], pairs
+
+
+def _dot(w, m):
+    """w @ m as a Python number, int 0 when there are no terms."""
+    return np.asarray(w @ m).item() if len(w) else 0
+
+
 def expectation(poly: Polynomial, measure: ProductMeasure):
     """E[poly] under the product measure, factorizing over variables."""
-    total = 0
-    for key, coeff in poly._terms.items():
-        term = coeff
-        for v, e in key:
-            mv = moment(measure.density(v), e)
-            if mv == 0:
-                term = 0
-                break
-            term = term * mv
-        total = total + term
-    return total
-
-
-def _parity_classes(poly: Polynomial):
-    classes = defaultdict(list)
-    for key, coeff in poly._terms.items():
-        sig = tuple(v for v, e in key if e & 1)
-        classes[sig].append((key, coeff))
-    return classes
+    (e,), _, (c,), table = _layout((poly,), measure, 1)
+    m = np.take(table, e + np.arange(0, table.size, table.shape[1])).prod(axis=1)
+    keep = m != 0  # skip exact zeros, so E of an all-odd polynomial is int 0
+    return _dot(c[keep], m[keep])
 
 
 def product_expectation(f: Polynomial, g: Polynomial, measure: ProductMeasure):
     """E[f*g] without materializing the product polynomial.
 
-    Pairs of terms contribute only when their odd-exponent variable sets
-    coincide (all stock densities are even), so terms are bucketed by parity
-    signature first; within a bucket the pairwise merged moments are summed.
+    Terms are sorted into parity classes by their packed odd bits, and only
+    same-class pairs are formed, a bounded block at a time; there every
+    merged exponent is even, and the summed codes index the moment table.
+    With ``f is g`` each unordered pair is formed once and counted twice.
     """
-    fc = _parity_classes(f)
-    total = 0
-    if f is g:
-        for terms in fc.values():
-            for i, (ka, ca) in enumerate(terms):
-                da = dict(ka)
-                for j in range(i, len(terms)):
-                    kb, cb = terms[j]
-                    term = ca * cb if j == i else 2 * ca * cb
-                    d = dict(da)
-                    for v, e in kb:
-                        d[v] = d.get(v, 0) + e
-                    for v, e in d.items():
-                        mv = moment(measure.density(v), e)
-                        if mv == 0:
-                            term = 0
-                            break
-                        term = term * mv
-                    total = total + term
-        return total
-    gc = _parity_classes(g)
-    for sig, fterms in fc.items():
-        gterms = gc.get(sig)
-        if not gterms:
-            continue
-        for ka, ca in fterms:
-            da = dict(ka)
-            for kb, cb in gterms:
-                term = ca * cb
-                d = dict(da)
-                for v, e in kb:
-                    d[v] = d.get(v, 0) + e
-                for v, e in d.items():
-                    mv = moment(measure.density(v), e)
-                    if mv == 0:
-                        term = 0
-                        break
-                    term = term * mv
-                total = total + term
+    sym = f is g
+    codes, odds, coeffs, table = _layout((f,) if sym else (f, g), measure, 2)
+    cls = np.unique(np.concatenate(odds), axis=0, return_inverse=True)[1].ravel()
+    sides = []
+    for e, c, k in zip(codes, coeffs, np.split(cls, [len(codes[0])])):
+        o = np.argsort(k)
+        sides.append((e[o], c[o], k[o]))
+    (a, ca, ka), (b, cb, kb) = sides * 2 if sym else sides
+    a = a + np.arange(0, table.size, table.shape[1]).astype(a.dtype)
+    nb = np.bincount(kb, minlength=int(cls.max(initial=0)) + 1)
+    start = np.cumsum(nb) - nb
+    lo = np.arange(len(ka)) if sym else start[ka]  # first partner of each f term
+    cnt = start[ka] + nb[ka] - lo
+    cum = np.concatenate(([0], np.cumsum(cnt)))
+    step = max(1, (1 << 16) // max(len(table), 1))  # pairs per block of 2^16 lookups
+    total, i = 0, 0
+    while i < len(ka):
+        j = max(i + 1, int(np.searchsorted(cum, cum[i] + step, "right")) - 1)
+        ia = np.repeat(np.arange(i, j), cnt[i:j])
+        ib = lo[ia] + np.arange(len(ia)) - (cum[ia] - cum[i])
+        w = ca[ia] * cb[ib]
+        if sym:
+            w[ib > ia] *= 2
+        total = total + _dot(w, np.take(table, a[ia] + b[ib]).prod(axis=1))
+        i = j
     return total

@@ -73,11 +73,6 @@ class Polynomial:
             raise ValidationError("variable exponent must be positive")
         return cls._raw({((int(v), int(exp)),): coeff} if coeff != 0 else {})
 
-    @classmethod
-    def monomial(cls, coeff, exps: Mapping[int, int]) -> "Polynomial":
-        key = _freeze(exps)
-        return cls._raw({key: coeff} if coeff != 0 else {})
-
     # -- canonical views ----------------------------------------------------
 
     @property
@@ -105,9 +100,6 @@ class Polynomial:
 
     def max_variable(self) -> int:
         return max((v for key in self._terms for v, _ in key), default=-1)
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in key) for key in self._terms), default=0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -241,12 +233,6 @@ class LiouvilleOperator:
         self._rhs_map = {
             k: tuple(p._terms.items()) for k, p in self.terms
         }
-
-    def apply(self, poly: Polynomial, term_cap: int | None = None) -> Polynomial:
-        return apply_liouville(self, poly, term_cap=term_cap)
-
-    def powers(self, u0: Polynomial, n: int, term_cap: int | None = None):
-        return liouville_powers(self, u0, n, term_cap=term_cap)
 
     def as_float(self) -> "LiouvilleOperator":
         return LiouvilleOperator(

@@ -132,6 +132,27 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("defect", ["json_header", "non_numeric", "ragged_row"])
+def test_malformed_input_file_exit_code(tmp_path, capsys, defect):
+    grid = TimeGrid(dt=0.01, horizon=5.0)
+    good = tmp_path / "good.csv"
+    write_series(good, Series(grid, special.jv(0, 2 * grid.times)), {}, value_name="C")
+    lines = good.read_text().splitlines()
+    if defect == "json_header":
+        lines[0] = "# {bad json"
+    elif defect == "non_numeric":
+        lines[5] = lines[5].split(",")[0] + ",abc"
+    else:
+        lines[5] += ",1.0"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    assert main(["kl", str(cfg), "--correlation-file", str(bad)]) == 2
+    assert main(["correlate", str(cfg), "--kernel-file", str(bad)]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_determinism_same_seed_identical_files(tmp_path):
     cfg_a = write_config(tmp_path / "a.json", output_dir=str(tmp_path / "outA"))
     cfg_b = write_config(tmp_path / "b.json", output_dir=str(tmp_path / "outB"))

@@ -26,8 +26,8 @@ from glekit.kernels import (
     temporal_mode,
 )
 from glekit.klmodel import CLIP_TOL, kl_decompose, psd_ratio
-from glekit.measures import Gaussian, ProductMeasure, gibbs_measure
-from glekit.poly import LiouvilleOperator, Polynomial
+from glekit.measures import Gaussian, ProductMeasure, expectation, gibbs_measure
+from glekit.poly import LiouvilleOperator, Polynomial, apply_liouville
 from glekit import volterra
 from glekit.systems import fpu_chain, harmonic_chain, momentum_index
 from glekit.volterra import TimeGrid, solve_correlation
@@ -75,6 +75,22 @@ def test_odd_gamma_exactly_zero_for_chains():
         gam = gamma_sequence(sys.operator, obs, mu, 7, skew=False)
         for i in (1, 3, 5, 7):
             assert gam.gamma(i) == 0
+
+
+def test_quartic_gamma_matches_materialized_oracle():
+    # gamma_{2m} = (-1)^m E[(L^m u0)^2] / G with the square materialized as a
+    # polynomial, against the pair expectations that gamma_sequence forms
+    sys = fpu_chain(100, alpha1=1, beta1=1, mass=1)
+    mu = gibbs_measure(sys, 40.0)
+    obs = ObservableSpec.from_measure(Polynomial.variable(50), mu)
+    gam = gamma_sequence(sys.operator, obs, mu, 12, skew=True)
+    w = obs.u0
+    for m in range(1, 7):
+        w = apply_liouville(sys.operator, w)
+        want = (-1) ** m * expectation(w * w, mu) / obs.gram
+        assert gam.gamma(2 * m) == pytest.approx(want, rel=1e-12, abs=0)
+        odd = gam.gamma(2 * m - 1)
+        assert odd == 0 and type(odd) is int
 
 
 def test_gamma_skew_spot_check_rejects_non_skew():

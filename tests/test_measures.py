@@ -135,6 +135,85 @@ def test_product_expectation_matches_materialized_product():
         assert product_expectation(f, f, mu) == expectation(f * f, mu)
 
 
+def loop_expectation(poly, measure):
+    """Reference E[poly]: one term and one variable at a time, as a sum of
+    Python numbers; a term with a zero moment is dropped."""
+    total = 0
+    for key, coeff in poly.terms:
+        ms = [moment(measure.density(v), e) for v, e in key]
+        if all(m != 0 for m in ms):
+            total = total + math.prod(ms, start=coeff)
+    return total
+
+
+def random_poly(rng, n_vars, n_terms, signed=True):
+    """Up to three variables per term with exponents 1..5, so several parity
+    classes; int and Fraction coefficients."""
+    terms = []
+    for _ in range(n_terms):
+        exps = {int(v): int(rng.integers(1, 6))
+                for v in rng.choice(n_vars, int(rng.integers(0, 4)), replace=False)}
+        c = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4)))
+        c = c if rng.random() < 0.5 else int(rng.integers(1, 9))
+        terms.append((exps, -c if signed and rng.random() < 0.5 else c))
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_product_expectation_quartic_matches_materialized_product(seed):
+    rng = np.random.default_rng(seed)
+    mu = ProductMeasure.uniform(QuarticGibbs(40.0), 5)
+    f = random_poly(rng, 5, 12)
+    # positive coefficients: no cancellation, so relative error is meaningful
+    a, b = random_poly(rng, 5, 10, signed=False), random_poly(rng, 5, 7, signed=False)
+    for x, y in ((f, f), (a, b), (b, a)):
+        got = product_expectation(x, y, mu)
+        assert isinstance(got, float)
+        assert got == pytest.approx(expectation(x * y, mu), rel=1e-12, abs=0)
+        assert got == pytest.approx(loop_expectation(x * y, mu), rel=1e-12, abs=0)
+
+
+def test_product_expectation_exact_gaussian_value_and_type():
+    rng = np.random.default_rng(7)
+    mu = ProductMeasure.uniform(Gaussian(Fraction(3, 2)), 4)
+    for _ in range(10):
+        f, g = random_poly(rng, 4, 8), random_poly(rng, 4, 6)
+        for x, y in ((f, g), (f, f), (g, g)):
+            want = loop_expectation(x * y, mu)
+            for got in (product_expectation(x, y, mu), expectation(x * y, mu)):
+                assert got == want and type(got) is type(want)
+    # no pair of terms shares its odd variables: exactly int 0
+    got = product_expectation(Polynomial.variable(0), Polynomial.variable(1, 3), mu)
+    assert got == 0 and type(got) is int
+
+
+def test_product_expectation_missing_density():
+    mu = ProductMeasure({0: Gaussian(1)})
+    x0, x1 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    with pytest.raises(MissingDensityError):
+        product_expectation(x1, x0 + x1, mu)
+    with pytest.raises(MissingDensityError):  # even where no pair would use it
+        product_expectation(Polynomial.variable(0), Polynomial.variable(1), mu)
+
+
+def test_product_expectation_zero_and_constant_polynomials():
+    mu = ProductMeasure.uniform(Gaussian(Fraction(2)), 2)
+    zero, three = Polynomial.zero(), Polynomial.constant(3)
+    f = Polynomial([({0: 2}, 1), ({1: 1}, 5)])
+    for x, y in ((zero, f), (f, zero), (zero, zero), (zero, three)):
+        got = product_expectation(x, y, mu)
+        assert got == 0 and type(got) is int
+    got = product_expectation(three, three, mu)
+    assert got == 9 and type(got) is int
+    assert product_expectation(three, Polynomial.constant(Fraction(1, 2)), mu) == Fraction(3, 2)
+    assert product_expectation(three, f, mu) == Fraction(3, 2)  # E[3 x0^2], x1 odd
+    quartic = ProductMeasure.uniform(QuarticGibbs(40.0), 2)
+    got = product_expectation(three, three, quartic)
+    assert got == 9 and type(got) is int
+    assert expectation(zero, mu) == 0 and type(expectation(zero, mu)) is int
+    assert expectation(three, quartic) == 3
+
+
 def test_lpow2_times_observable_closed_form():
     # E[(9 x0^3 x2^2 + 3 x0^3 x1^2 - 3 x0^5) * x0^3] under standard Gaussians:
     # 9*E[x^6] + 3*E[x^6] - 3*E[x^8] = 9*15 + 3*15 - 3*105 = -135.
