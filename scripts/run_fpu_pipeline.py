@@ -2,9 +2,10 @@
 """Quartic-chain pipeline: first-principles kernel, MC baseline, KL model.
 
 Runs the full desk-scale experiment for a Fermi-Pasta-Ulam displacement
-observable: exact-coefficient gamma/mu tables, Faber memory kernel,
-correlation solve, symplectic Monte-Carlo baseline, and the KL stochastic
-model with higher-order auto-correlations (m = 1, 2, 4).
+observable: gamma/mu tables (in float arithmetic, since the quartic Gibbs
+marginal has quadrature moments), Faber memory kernel, correlation solve,
+symplectic Monte-Carlo baseline, and the KL stochastic model with
+higher-order auto-correlations (m = 1, 2, 4).
 """
 
 import argparse
@@ -51,8 +52,6 @@ def main() -> int:
     ap.add_argument("--mc-samples", type=int, default=10_000)
     ap.add_argument("--kl-samples", type=int, default=30_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--float-mode", action="store_true",
-                    help="float coefficients in the combinatorial stage")
     ap.add_argument("--out", default="out/fpu")
     args = ap.parse_args()
 
@@ -66,8 +65,7 @@ def main() -> int:
     gram = float(obs.gram)
     print(f"[{time.time()-t0:6.1f}s] gram <r^2> = {gram:.6g}")
 
-    gam = gamma_sequence(system.operator, obs, measure, args.order + 2,
-                         skew=True, exact=not args.float_mode)
+    gam = gamma_sequence(system.operator, obs, measure, args.order + 2, skew=True)
     mus = mu_sequence(gam)
     grid = TimeGrid(dt=args.dt, horizon=args.horizon)
     # quartic chains have superexponential moment growth; pick the truncation

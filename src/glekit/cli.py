@@ -28,7 +28,6 @@ from .kernels import (
 )
 from .klmodel import (
     DensityMarginal,
-    GaussianMarginal,
     build_fluctuation_process,
     higher_order_acf,
     kl_decompose,
@@ -58,8 +57,7 @@ def _kernel_pipeline(cfg: ExperimentConfig):
     system, measure, obs = _build_context(cfg)
     kc = cfg.kernel
     gam = gamma_sequence(system.operator, obs, measure, kc.order + 2,
-                         skew=kc.skew, exact=kc.mode == "exact",
-                         term_cap=kc.term_cap)
+                         skew=kc.skew, term_cap=kc.term_cap)
     mu = mu_sequence(gam)
     if kc.delta == "consistency":
         from .kernels import select_kernel_by_consistency
@@ -149,7 +147,6 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
 
 
 def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
-    from .measures import QuarticGibbs, moment
     from .volterra import solve_fluctuation_modes
 
     out = Path(cfg.output_dir)
@@ -172,12 +169,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
     basis = kl_decompose(corr_raw, kmax=cfg.kl.kmax,
                          energy_floor=cfg.kl.energy_floor)
 
-    vidx = cfg.observable.variable_index(system)
-    density = measure.density(vidx)
-    if isinstance(density, Gaussian):
-        marginal = GaussianMarginal(mean=0.0, var=float(moment(density, 2)))
-    else:
-        marginal = DensityMarginal(density)
+    marginal = DensityMarginal(measure.density(cfg.observable.variable_index(system)))
     ens = sample_ensemble(basis, marginal, cfg.kl.n_samples,
                           iters=cfg.kl.iters, seed=cfg.kl.seed)
 

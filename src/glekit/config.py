@@ -98,19 +98,16 @@ class KernelConfig:
     delta: float | str | None = None
     c0: float = 0.0
     c1: float = -0.25
-    mode: str = "exact"               # "exact" | "float"
     skew: bool = True
     term_cap: int = 10_000_000
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
         _check_keys("kernel", d,
-                    {"basis", "order", "delta", "c0", "c1", "mode", "skew", "term_cap"})
+                    {"basis", "order", "delta", "c0", "c1", "skew", "term_cap"})
         cfg = cls(**d)
         if cfg.basis not in ("faber", "dyson"):
             raise ValidationError("kernel basis must be 'faber' or 'dyson'")
-        if cfg.mode not in ("exact", "float"):
-            raise ValidationError("kernel mode must be 'exact' or 'float'")
         if isinstance(cfg.delta, str) and cfg.delta != "consistency":
             raise ValidationError("kernel delta must be a number, null or 'consistency'")
         if cfg.order < 0:

@@ -88,9 +88,14 @@ class FaberParams:
 
 def gamma_sequence(op: LiouvilleOperator, obs: ObservableSpec,
                    measure: ProductMeasure, n: int, skew: bool = False,
-                   exact: bool = True,
                    term_cap: int = DEFAULT_GAMMA_TERM_CAP) -> GammaSequence:
     """Normalized moments gamma_i = <L^i u0, u0> / <u0, u0> for i = 1..n.
+
+    The measure decides the arithmetic.  When some density of the measure
+    has float moments (quartic or custom densities, or a Gaussian with a
+    float gamma), the Liouville powers run on float coefficients, since
+    exact ones could not make the expectations more exact.  Otherwise the
+    powers and the table stay exact ``int``/``Fraction``.
 
     With ``skew`` set, the operator is taken to be skew-adjoint under the
     measure: odd entries are exactly zero and the even ones are evaluated by
@@ -100,9 +105,10 @@ def gamma_sequence(op: LiouvilleOperator, obs: ObservableSpec,
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    u0 = obs.u0 if exact else obs.u0.as_float()
-    if not exact:
-        op = op.as_float()
+    u0 = obs.u0
+    densities = {id(d): d for d in measure.densities.values()}.values()
+    if any(isinstance(moment(d, 2), float) for d in densities):
+        op, u0 = op.as_float(), u0.as_float()
     gram = obs.gram
     values: list = [0] * n
     w = apply_liouville(op, u0, term_cap=term_cap)

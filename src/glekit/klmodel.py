@@ -10,7 +10,6 @@ realization rather than in distribution only.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -133,37 +132,12 @@ class GaussianMarginal:
 
 @dataclass(frozen=True)
 class DensityMarginal:
-    """Marginal given by a 1D density; the quantile is inverted numerically."""
+    """Marginal given by a 1D density: its own quantile, variance from its moments."""
 
     density: Density1D
-    mean: float = 0.0
-    grid_points: int = 4001
-
-    @functools.cached_property
-    def _table(self):
-        from .measures import CustomDensity, Gaussian, QuarticGibbs, _quartic_domain
-        d = self.density
-        if isinstance(d, Gaussian):
-            a = 40.0 / math.sqrt(float(d.gamma))
-            logpdf = lambda x: -0.5 * float(d.gamma) * x * x
-        elif isinstance(d, QuarticGibbs):
-            a = _quartic_domain(d, 0)
-            g, a1, b1 = float(d.gamma), float(d.alpha1), float(d.beta1)
-            logpdf = lambda x: -g * (0.5 * a1 * x * x + 0.25 * b1 * x**4)
-        elif isinstance(d, CustomDensity):
-            a = d.halfwidth
-            logpdf = d.log_density
-        else:
-            raise ValidationError(f"unsupported density {type(d).__name__}")
-        x = np.linspace(-a, a, self.grid_points)
-        pdf = np.exp(np.asarray(logpdf(x), dtype=float))
-        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(x) / 2)])
-        cdf /= cdf[-1]
-        return x, cdf
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        x, cdf = self._table
-        return self.mean + np.interp(u, cdf, x)
+        return self.density.quantile(u)
 
     @property
     def variance(self) -> float:

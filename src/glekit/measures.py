@@ -1,5 +1,12 @@
 """Per-variable equilibrium densities and moment/expectation evaluation.
 
+A density answers ``moment(m)``, its m-th raw moment, and ``quantile(u)``,
+its inverse CDF on an array of probabilities (the KL sampler's marginal
+target).  No other code asks which kind of density it holds, so any object
+with these two methods can stand in a :class:`ProductMeasure`.  Moments are
+exact (``int``/``Fraction``) where they are rational, as for a Gaussian with
+a rational gamma, and ``float`` where they come from quadrature or a float
+parameter; the stock densities cache them on the instance (:class:`Density1D`).
 All stock densities are even, so odd moments are exactly zero (an ``int`` 0,
 not a small float), and a pair of terms contributes to E[f*g] only when
 their odd-exponent variables coincide.  That is what makes odd Liouville
@@ -15,6 +22,7 @@ a float (quartic densities) and exact otherwise, on object arrays of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,16 +30,35 @@ from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import InvalidDensityError, MissingDensityError
 from .poly import Polynomial
 
-_moment_cache: dict = {}
+QUANTILE_GRID = 4001  # points of the trapezoid CDF that numeric quantiles invert
+
+
+class Density1D:
+    """Base of the stock densities: subclasses supply ``_moment`` and ``quantile``."""
+
+    def moment(self, m: int):
+        """m-th raw moment, computed once per instance."""
+        cache = self.__dict__.setdefault("_moments", {0: 1})  # normalized
+        if m not in cache:
+            cache[m] = self._moment(m)
+        return cache[m]
+
+
+def _grid_quantile(u, logpdf, a: float) -> np.ndarray:
+    """Inverse CDF of exp(logpdf) on [-a, a], from its trapezoid CDF on a grid."""
+    x = np.linspace(-a, a, QUANTILE_GRID)
+    pdf = np.exp(np.asarray(logpdf(x), dtype=float))
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(x) / 2)])
+    return np.interp(u, cdf / cdf[-1], x)
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(Density1D):
     """Centered Gaussian with inverse-temperature parameter: variance 1/gamma."""
 
     gamma: object  # int | Fraction | float, > 0
@@ -40,9 +67,19 @@ class Gaussian:
         if self.gamma <= 0:
             raise InvalidDensityError("Gaussian gamma must be positive")
 
+    def _moment(self, m: int):
+        if m % 2 == 1:
+            return 0
+        g = self.gamma
+        var = 1.0 / g if isinstance(g, float) else Fraction(1) / g
+        return math.prod(range(3, m, 2)) * var ** (m // 2)
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return math.sqrt(float(self.moment(2))) * special.ndtri(u)
+
 
 @dataclass(frozen=True)
-class QuarticGibbs:
+class QuarticGibbs(Density1D):
     """Density proportional to exp(-gamma*(alpha1 x^2/2 + beta1 x^4/4))."""
 
     gamma: object
@@ -58,9 +95,39 @@ class QuarticGibbs:
             raise InvalidDensityError(
                 "non-integrable density: beta1 = 0 requires alpha1 > 0")
 
+    def _logpdf(self):
+        """x -> -gamma V(x), the log of the unnormalized density."""
+        g, a1, b1 = float(self.gamma), float(self.alpha1), float(self.beta1)
+        return lambda x: -g * (0.5 * a1 * x * x + 0.25 * b1 * x**4)
+
+    def _domain(self, m: int) -> float:
+        """Half-width a past which x^m exp(-gamma V(x)) drops below ~1e-320."""
+        logpdf, a = self._logpdf(), 1.0
+        while -logpdf(a) - m * math.log(a + 1.0) < 740.0:
+            a *= 1.5
+            if a > 1e8:
+                raise InvalidDensityError("quartic density fails to decay")
+        return a
+
+    def _moment(self, m: int):
+        if m % 2 == 1:
+            return 0
+        if self.beta1 == 0:
+            return Gaussian(self.gamma * self.alpha1).moment(m)
+        a = self._domain(m)
+        logpdf = self._logpdf()
+        weight = lambda x: np.exp(logpdf(x))
+        num, _ = integrate.quad(lambda x: x**m * weight(x), 0.0, a,
+                                epsabs=1e-300, epsrel=1e-13, limit=200)
+        den, _ = integrate.quad(weight, 0.0, a, epsabs=1e-300, epsrel=1e-13, limit=200)
+        return num / den
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return _grid_quantile(u, self._logpdf(), self._domain(0))
+
 
 @dataclass(frozen=True)
-class CustomDensity:
+class CustomDensity(Density1D):
     """Unnormalized log-density on a symmetric quadrature domain [-a, a]."""
 
     log_density: Callable[[np.ndarray], np.ndarray]
@@ -71,85 +138,31 @@ class CustomDensity:
         if self.halfwidth <= 0 or self.nodes < 8:
             raise InvalidDensityError("CustomDensity needs halfwidth > 0, nodes >= 8")
 
+    @functools.cached_property
+    def _nodes(self):
+        """Gauss-Legendre nodes on [-a, a] and normalized density weights."""
+        x, w = np.polynomial.legendre.leggauss(self.nodes)
+        x = x * self.halfwidth
+        w = w * self.halfwidth
+        dens = np.exp(np.asarray(self.log_density(x), dtype=float))
+        z = float(np.dot(w, dens))
+        if not np.isfinite(z) or z <= 0:
+            raise InvalidDensityError("custom density does not normalize")
+        return x, w * dens / z
 
-Density1D = Gaussian | QuarticGibbs | CustomDensity
+    def _moment(self, m: int) -> float:
+        x, w = self._nodes
+        return float(np.dot(w, x**m))
 
-
-def _gaussian_moment(gamma, m: int):
-    if m % 2 == 1:
-        return 0
-    k = m // 2
-    dfact = 1
-    for i in range(3, m, 2):
-        dfact *= i
-    var = (Fraction(1, 1) / gamma) if not isinstance(gamma, float) else 1.0 / gamma
-    return dfact * var**k
-
-
-def _quartic_domain(d: QuarticGibbs, m: int) -> float:
-    g, a1, b1 = float(d.gamma), float(d.alpha1), float(d.beta1)
-    # choose a so the integrand tail x^m exp(-g V(x)) drops below ~1e-320
-    a = 1.0
-    while g * (0.5 * a1 * a * a + 0.25 * b1 * a**4) - m * math.log(a + 1.0) < 740.0:
-        a *= 1.5
-        if a > 1e8:
-            raise InvalidDensityError("quartic density fails to decay")
-    return a
-
-def _quartic_moment(d: QuarticGibbs, m: int):
-    if m % 2 == 1:
-        return 0
-    if d.beta1 == 0:
-        return _gaussian_moment(d.gamma * d.alpha1, m)
-    g, a1, b1 = float(d.gamma), float(d.alpha1), float(d.beta1)
-    a = _quartic_domain(d, m)
-    weight = lambda x: np.exp(-g * (0.5 * a1 * x * x + 0.25 * b1 * x**4))
-    num, _ = integrate.quad(lambda x: x**m * weight(x), 0.0, a,
-                            epsabs=1e-300, epsrel=1e-13, limit=200)
-    den, _ = integrate.quad(weight, 0.0, a, epsabs=1e-300, epsrel=1e-13, limit=200)
-    return num / den
-
-
-def _custom_nodes(d: CustomDensity):
-    x, w = np.polynomial.legendre.leggauss(d.nodes)
-    x = x * d.halfwidth
-    w = w * d.halfwidth
-    dens = np.exp(np.asarray(d.log_density(x), dtype=float))
-    z = float(np.dot(w, dens))
-    if not np.isfinite(z) or z <= 0:
-        raise InvalidDensityError("custom density does not normalize")
-    return x, w * dens / z
-
-
-def _custom_moment(d: CustomDensity, m: int) -> float:
-    x, w = _custom_nodes(d)
-    return float(np.dot(w, x**m))
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return _grid_quantile(u, self.log_density, self.halfwidth)
 
 
 def moment(d: Density1D, m: int):
     """m-th raw moment of a 1D density; odd moments of even densities are exact 0."""
     if m < 0 or not isinstance(m, int):
         raise ValueError("moment order must be a nonnegative integer")
-    if m == 0:
-        return 1 if not isinstance(d, CustomDensity) else 1.0
-    key = (d, m)
-    try:
-        return _moment_cache[key]
-    except KeyError:
-        pass
-    except TypeError:
-        key = None  # unhashable custom callable; skip the cache
-    if isinstance(d, Gaussian):
-        val = _gaussian_moment(d.gamma, m)
-    elif isinstance(d, QuarticGibbs):
-        val = _quartic_moment(d, m)
-    elif isinstance(d, CustomDensity):
-        val = _custom_moment(d, m)
-    else:
-        raise InvalidDensityError(f"unknown density type {type(d).__name__}")
-    if key is not None:
-        _moment_cache[key] = val
-    return val
+    return d.moment(m)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A monomial is keyed by a sorted tuple of ``(variable, exponent)`` pairs with
 strictly positive exponents; a polynomial is a mapping from such keys to
-nonzero coefficients.  Coefficients are ``int``/``Fraction`` in exact mode or
-``float`` in the opt-in float mode; both flow through the same code paths.
+nonzero coefficients.  Coefficients are ``int``/``Fraction``, or ``float``
+after :meth:`Polynomial.as_float` (which the gamma table uses under
+measures with float moments); both flow through the same code paths.
 
 A Liouville operator ``L = sum_k F_k(x) d/dx_k`` with polynomial ``F_k`` maps
 polynomials to polynomials.  Applying it to a monomial is a coefficient

@@ -178,8 +178,8 @@ def test_c04_skew_parity(fpu_mild, harmonic100):
     odd_f = [gam_f.gamma(i) for i in (1, 3, 5, 7)]
     ok = all(v == 0 for v in odd_h + odd_f)
     verdict(4, ok,
-            f"odd gamma exactly zero in rational mode: harmonic {odd_h}, "
-            f"quartic chain {odd_f}")
+            f"odd gamma exactly zero by parity, from exact harmonic and float "
+            f"quartic powers: harmonic {odd_h}, quartic chain {odd_f}")
 
 
 def test_c05_quartic_moments():

@@ -16,7 +16,7 @@ def write_config(path: Path, **overrides) -> Path:
     cfg = {
         "system": {"name": "harmonic_chain", "n_sites": 16},
         "observable": {"field": "p", "site": 8, "power": 1},
-        "kernel": {"basis": "faber", "order": 12, "mode": "exact"},
+        "kernel": {"basis": "faber", "order": 12},
         "grid": {"horizon": 5.0, "dt": 0.01},
         "mc": {"n_samples": 400, "seed": 2, "sim_dt": 5e-3},
         "kl": {"n_samples": 4000, "iters": 5, "seed": 3},
@@ -48,7 +48,7 @@ def test_kernel_command_outputs(tmp_path):
 
 def test_correlate_inline_matches_bessel(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
-                       kernel={"basis": "faber", "order": 24, "mode": "exact"})
+                       kernel={"basis": "faber", "order": 24})
     assert main(["correlate", str(cfg)]) == 0
     series, _ = read_series(tmp_path / "out" / "correlation.csv", value_name="C")
     target = special.jv(0, 2 * series.grid.times)
@@ -92,7 +92,7 @@ def test_mc_command_and_compare(tmp_path):
 def test_kl_command_outputs(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(out),
-                       kernel={"basis": "faber", "order": 16, "mode": "exact"},
+                       kernel={"basis": "faber", "order": 16},
                        kl={"n_samples": 3000, "iters": 4, "seed": 5})
     assert main(["kl", str(cfg)]) == 0
     for name in ("modes.csv", "hmodes.csv", "noise_acf.csv",
@@ -110,7 +110,7 @@ def test_kl_command_from_correlation_file(tmp_path):
     # a tabulated correlation replaces the inline pipeline, which alone
     # knows the kernel and so alone writes the fluctuation modes
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "corr"),
-                       kernel={"basis": "faber", "order": 16, "mode": "exact"},
+                       kernel={"basis": "faber", "order": 16},
                        kl={"n_samples": 3000, "iters": 4, "seed": 5})
     assert main(["correlate", str(cfg)]) == 0
     out = tmp_path / "out"
@@ -172,7 +172,8 @@ def test_set_overrides_and_validation(tmp_path):
     assert manifest["config"]["kernel"]["order"] == 6
     assert manifest["config"]["gamma"] == 2.0
     # unknown keys are rejected with exit code 2
-    assert main(["kernel", str(cfg), "--set", "kernel.bogus=1"]) == 2
+    for key in ("kernel.bogus=1", "kernel.mode=float"):
+        assert main(["kernel", str(cfg), "--set", key]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"system": {"name": "no_such_system"}}))
     assert main(["kernel", str(bad)]) == 2
@@ -182,8 +183,7 @@ def test_resource_cap_exit_code(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
                        system={"name": "fpu_chain", "n_sites": 16, "beta1": 1.0},
                        observable={"field": "r", "site": 8, "power": 1},
-                       kernel={"basis": "faber", "order": 20, "mode": "exact",
-                               "term_cap": 200})
+                       kernel={"basis": "faber", "order": 20, "term_cap": 200})
     assert main(["kernel", str(cfg)]) == 4
 
 
@@ -192,7 +192,7 @@ def test_ko_system_kernel(tmp_path):
         tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
         system={"name": "kraichnan_orszag"},
         observable={"var": 0, "power": 3},
-        kernel={"basis": "dyson", "order": 4, "mode": "exact"})
+        kernel={"basis": "dyson", "order": 4})
     assert main(["kernel", str(cfg)]) == 0
     cols, meta = read_columns(tmp_path / "out" / "gamma.csv")
     # odd entries vanish for the volume-preserving three-mode system under
@@ -209,7 +209,7 @@ def test_system_file_config(tmp_path):
         tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
         system={"file": str(sys_file)},
         observable={"var": 9, "power": 1},  # p_3 of the 6-site chain
-        kernel={"basis": "dyson", "order": 4, "mode": "exact"})
+        kernel={"basis": "dyson", "order": 4})
     assert main(["kernel", str(cfg)]) == 0
     cols, _ = read_columns(tmp_path / "out" / "gamma.csv")
     assert cols["gamma"][1] == pytest.approx(-2.0)

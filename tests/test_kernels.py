@@ -26,7 +26,13 @@ from glekit.kernels import (
     temporal_mode,
 )
 from glekit.klmodel import CLIP_TOL, kl_decompose, psd_ratio
-from glekit.measures import Gaussian, ProductMeasure, expectation, gibbs_measure
+from glekit.measures import (
+    Gaussian,
+    ProductMeasure,
+    expectation,
+    gibbs_measure,
+    product_expectation,
+)
 from glekit.poly import LiouvilleOperator, Polynomial, apply_liouville
 from glekit import volterra
 from glekit.systems import fpu_chain, harmonic_chain, momentum_index
@@ -49,6 +55,18 @@ def test_harmonic_gamma_values(harmonic_setup):
     gam = gamma_sequence(sys.operator, obs, mu, 6, skew=True)
     assert gam.values == HARMONIC_GAMMA
     assert all(isinstance(v, (int, Fraction)) for v in gam.values)
+
+
+def test_gamma_arithmetic_follows_the_measure():
+    # exact moments keep the table exact; a float gamma makes it float
+    sys = harmonic_chain(12)
+    u0 = Polynomial.variable(momentum_index(sys, 6))
+    exact, floats = (
+        gamma_sequence(sys.operator, ObservableSpec.from_measure(u0, mu), mu, 8).values
+        for mu in (gibbs_measure(sys, Fraction(1)), gibbs_measure(sys, 1.0)))
+    assert all(type(v) in (int, Fraction) for v in exact)
+    assert all(type(v) is float for v in floats)
+    assert floats == exact
 
 
 def test_harmonic_gamma_direct_matches_skew(harmonic_setup):
@@ -86,9 +104,12 @@ def test_quartic_gamma_matches_materialized_oracle():
     gam = gamma_sequence(sys.operator, obs, mu, 12, skew=True)
     w = obs.u0
     for m in range(1, 7):
-        w = apply_liouville(sys.operator, w)
+        w = apply_liouville(sys.operator, w)  # exact coefficients
         want = (-1) ** m * expectation(w * w, mu) / obs.gram
         assert gam.gamma(2 * m) == pytest.approx(want, rel=1e-12, abs=0)
+        # the float powers the quartic measure selects agree with exact powers
+        exact_powers = (-1) ** m * product_expectation(w, w, mu) / obs.gram
+        assert gam.gamma(2 * m) == pytest.approx(exact_powers, rel=1e-13, abs=0)
         odd = gam.gamma(2 * m - 1)
         assert odd == 0 and type(odd) is int
 

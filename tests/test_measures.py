@@ -260,3 +260,39 @@ def test_gibbs_measure_layout():
     mu2 = gibbs_measure(harm, Fraction(5))
     assert isinstance(mu2.density(0), Gaussian)
     assert moment(mu2.density(0), 2) == Fraction(1, 10)
+
+
+class Uniform:
+    """Uniform density on [-a, a], defined outside the package: exact moments
+    and a closed-form quantile are all a density has to provide."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def moment(self, m):
+        return 0 if m % 2 else self.a**m / (m + 1)
+
+    def quantile(self, u):
+        return float(self.a) * (2 * np.asarray(u) - 1)
+
+
+def test_density_protocol_admits_a_new_density():
+    from glekit.klmodel import DensityMarginal, kl_decompose, sample_ensemble
+    from glekit.volterra import Series, TimeGrid
+    d = Uniform(Fraction(3, 2))
+    assert moment(d, 2) == Fraction(3, 4) and moment(d, 3) == 0
+    mu = ProductMeasure.uniform(d, 2)
+    f = Polynomial([({0: 2, 1: 4}, 5), ({0: 1}, 1)])
+    assert expectation(f, mu) == 5 * Fraction(3, 4) * Fraction(81, 80)
+    # E[(x0 + x1^2)^2] = E[x0^2] + E[x1^4]; the cross term is odd in x0
+    g = Polynomial.variable(0) + Polynomial.variable(1, 2)
+    got = product_expectation(g, g, mu)
+    assert got == Fraction(3, 4) + Fraction(81, 80) and type(got) is Fraction
+    grid = TimeGrid(dt=0.1, horizon=1.0)
+    basis = kl_decompose(Series(grid, np.full(grid.n_nodes, 0.75)))
+    marginal = DensityMarginal(d)
+    assert marginal.variance == 0.75
+    ens = sample_ensemble(basis, marginal, 20_000, seed=3)
+    probes = np.linspace(0.01, 0.99, 99)
+    got = np.quantile(ens.paths[:, 0], probes)
+    assert np.max(np.abs(got - marginal.quantile(probes))) < 0.01
