@@ -27,6 +27,7 @@ from .kernels import (
     mu_sequence,
 )
 from .klmodel import (
+    CLIP_TOL,
     DensityMarginal,
     build_fluctuation_process,
     higher_order_acf,
@@ -54,6 +55,8 @@ def _build_context(cfg: ExperimentConfig):
 
 
 def _kernel_pipeline(cfg: ExperimentConfig):
+    """Context, tables and kernel of ``cfg``, plus the manifest entries that
+    explain the kernel: a ``selection`` block when a scan chose it."""
     system, measure, obs = _build_context(cfg)
     kc = cfg.kernel
     gam = gamma_sequence(system.operator, obs, measure, kc.order + 2,
@@ -61,16 +64,24 @@ def _kernel_pipeline(cfg: ExperimentConfig):
     mu = mu_sequence(gam)
     if kc.delta == "consistency":
         from .kernels import select_kernel_by_consistency
-        kernel, _ = select_kernel_by_consistency(mu, _grid(cfg), c0=kc.c0,
-                                                 c1=kc.c1, obs=obs)
-        return system, measure, obs, gam, mu, kernel
+        kernel, diag = select_kernel_by_consistency(mu, _grid(cfg), c0=kc.c0,
+                                                    c1=kc.c1, obs=obs)
+        selection = {
+            "candidates": len(diag.scores) + sum(diag.rejected.values()),
+            "admissible": len(diag.scores),
+            "rejected": dict(diag.rejected),
+            "order": kernel.order, "delta": kernel.delta,
+            "psd_ratio": diag.psd_ratio,
+            "psd_margin": diag.psd_ratio + CLIP_TOL,  # distance above -CLIP_TOL
+        }
+        return system, measure, obs, gam, mu, kernel, {"selection": selection}
     if kc.delta is None:
         fp = estimate_scaling(gam)
         fp = FaberParams(c0=kc.c0, c1=kc.c1, delta=fp.delta)
     else:
         fp = FaberParams(c0=kc.c0, c1=kc.c1, delta=kc.delta)
     kernel = build_kernel(mu, basis=kc.basis, fp=fp, obs=obs)
-    return system, measure, obs, gam, mu, kernel
+    return system, measure, obs, gam, mu, kernel, {}
 
 
 def _grid(cfg: ExperimentConfig) -> TimeGrid:
@@ -79,7 +90,7 @@ def _grid(cfg: ExperimentConfig) -> TimeGrid:
 
 def cmd_kernel(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
-    system, measure, obs, gam, mu, kernel = _kernel_pipeline(cfg)
+    system, measure, obs, gam, mu, kernel, explained = _kernel_pipeline(cfg)
     grid = _grid(cfg)
     kvals = kernel(grid.times)
     meta = {
@@ -99,7 +110,7 @@ def cmd_kernel(cfg: ExperimentConfig) -> int:
                   {"q": np.arange(kernel.order + 1, dtype=float),
                    "M": kernel.coeffs}, meta)
     write_columns(out / "kernel.csv", {"t": grid.times, "K": kvals}, meta)
-    write_manifest(out / "manifest.json", cfg.manifest("kernel", meta))
+    write_manifest(out / "manifest.json", cfg.manifest("kernel", {**meta, **explained}))
     print(f"kernel: order {kernel.order}, delta {kernel.delta:.6g}, "
           f"K(0) = {kernel(0.0):.6g}")
     return 0
@@ -115,12 +126,13 @@ def cmd_correlate(cfg: ExperimentConfig, kernel_file: str | None = None) -> int:
             kvals = np.interp(grid.times, kser.grid.times, kser.values)
             kser = Series(grid, kvals)
         corr = solve_correlation(omega, kser, grid)
+        explained = {}
     else:
-        _, _, obs, gam, mu, kernel = _kernel_pipeline(cfg)
+        _, _, obs, gam, mu, kernel, explained = _kernel_pipeline(cfg)
         corr = solve_correlation(kernel.streaming, kernel, grid)
     write_series(out / "correlation.csv", corr,
                  cfg.manifest("correlate"), value_name="C")
-    write_manifest(out / "manifest.json", cfg.manifest("correlate"))
+    write_manifest(out / "manifest.json", cfg.manifest("correlate", explained))
     print(f"correlation solved on [0, {grid.horizon}] at dt = {grid.dt}")
     return 0
 
@@ -161,7 +173,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         omega = 0.0
         corr_raw = Series(grid, corr.values * (gram / corr.values[0]))
     else:
-        _, _, obs, gam, mu, kernel = _kernel_pipeline(cfg)
+        _, _, obs, gam, mu, kernel, _ = _kernel_pipeline(cfg)
         corr = solve_correlation(kernel.streaming, kernel, grid)
         kernel_callable = kernel
         omega = kernel.streaming

@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .measures import ProductMeasure, moment, product_expectation
 from .poly import LiouvilleOperator, Polynomial, apply_liouville
+from .volterra import Series, _march
 
 DEFAULT_GAMMA_TERM_CAP = 10_000_000
+# kernel_eval builds its mode tables for this many times at once, so long
+# grids leave no large freed buffers behind in the allocator
+_EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -178,18 +182,28 @@ def temporal_mode(basis, q: int, t):
     """
     if q < 0:
         raise ValidationError("q must be >= 0")
+    out = _mode_table(basis, [q], t)[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def _mode_table(basis, qs, t) -> np.ndarray:
+    """Temporal modes g_q(t) for each q in ``qs``, shape ``(len(qs),) + shape(t)``.
+
+    The Faber modes of all orders are one ``jv`` call; row by row they are
+    the same floating-point operations as a single mode.
+    """
     t = np.asarray(t, dtype=float)
     if isinstance(basis, FaberParams):
         c0, c1 = float(basis.c0), float(basis.c1)
         if c1 >= 0:
             raise ValidationError("Faber temporal modes require c1 < 0")
         rho = math.sqrt(-c1)
-        out = np.exp(t * c0) * special.jv(q, 2.0 * t * rho) / rho**q
-    elif basis == "dyson":
-        out = t**q / math.factorial(q)
-    else:
-        raise ValidationError(f"unknown basis {basis!r}")
-    return float(out) if out.ndim == 0 else out
+        col = (len(qs),) + (1,) * t.ndim
+        scale = np.array([rho**q for q in qs]).reshape(col)
+        return np.exp(t * c0) * special.jv(np.reshape(qs, col), 2.0 * t * rho) / scale
+    if basis == "dyson":
+        return np.stack([t**q / math.factorial(q) for q in qs])
+    raise ValidationError(f"unknown basis {basis!r}")
 
 
 @dataclass(frozen=True)
@@ -247,13 +261,23 @@ def build_kernel(mu: MuSequence, basis: str = "faber",
 def kernel_eval(k: KernelExpansion, t):
     """Physical-time kernel K(t) = delta**-2 sum_q g_q(t/delta) M_q."""
     t = np.asarray(t, dtype=float)
-    tau = t / k.delta
-    basis = k.faber if k.basis == "faber" else "dyson"
-    acc = np.zeros_like(tau)
-    for q in range(k.order + 1):
-        acc = acc + temporal_mode(basis, q, tau) * k.coeffs[q]
-    out = acc / k.delta**2
+    out = np.empty(t.shape)
+    for i in range(0, t.size, _EVAL_BLOCK):
+        out.flat[i:i + _EVAL_BLOCK] = _truncation_values(k, t.flat[i:i + _EVAL_BLOCK])[-1]
     return float(out) if out.ndim == 0 else out
+
+
+def _truncation_values(k: KernelExpansion, t) -> np.ndarray:
+    """K(t) of every truncation of ``k``: row m sums the modes q <= m.
+
+    One mode table, then a running sum over q that adds in the order of the
+    term-by-term loop ``acc = acc + g_q M_q``.
+    """
+    tau = np.asarray(t, dtype=float) / k.delta
+    basis = k.faber if k.basis == "faber" else "dyson"
+    table = _mode_table(basis, range(k.order + 1), tau)
+    coeffs = np.asarray(k.coeffs, dtype=float).reshape((-1,) + (1,) * tau.ndim)
+    return np.cumsum(table * coeffs, axis=0) / k.delta**2
 
 
 def liouville_to_matrix(op: LiouvilleOperator):
@@ -322,6 +346,71 @@ class SelectionDiagnostics:
     psd_ratio: float = math.nan
 
 
+def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
+          lag: int, score, anchor=None):
+    """The (order, delta) scan of both selectors: ``(kernel, diagnostics)``.
+
+    Per delta, one :func:`build_kernel` at the top order gives the
+    coefficients M_q of every truncation, and one mode table per time array
+    the kernels of all orders as running sums over q; one batched march
+    solves all correlations.  Candidate (n, delta) then runs its tests in
+    turn: with ``anchor = (t_a, k_a, tol)`` its kernel must stay within
+    ``tol * |k_a[0]|`` of ``k_a`` at the times ``t_a``; C_n and C_{n-lag}
+    must be finite and within ``bound``; C_n must pass the PSD test.  The
+    admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins.
+    """
+    from .klmodel import CLIP_TOL, psd_ratio
+    deltas = [float(d) for d in deltas]
+    solved = sorted(set(orders) | {n - lag for n in orders})
+    unique = list(dict.fromkeys(deltas))
+    kernels, err = {}, {}
+    kvals = np.empty((grid.n_nodes, len(solved) * len(unique)))
+    for i, delta in enumerate(unique):
+        k = build_kernel(MuSequence(mu.values[:max(solved, default=0) + 2]), "faber",
+                         FaberParams(c0=c0, c1=c1, delta=delta), obs)
+        kvals[:, i * len(solved):(i + 1) * len(solved)] = \
+            _truncation_values(k, grid.times)[solved].T
+        if anchor:
+            dev = np.max(np.abs(_truncation_values(k, anchor[0])[solved] - anchor[1]), axis=1)
+        for j, n in enumerate(solved):
+            kernels[n, delta] = replace(k, order=n, coeffs=k.coeffs[:n + 1])
+            err[n, delta] = dev[j] / abs(float(anchor[1][0])) if anchor else 0.0
+    ok = np.isfinite(kvals).all(axis=0)
+    kvals[:, ~ok] = 0.0  # marched harmlessly, then dropped
+    omega = np.array([k.streaming for k in kernels.values()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _march(kvals, omega, np.ones(len(omega)), grid.dt, np.zeros(grid.n_nodes))
+    ok &= np.isfinite(c).all(axis=0)
+    corr = {key: c[:, j] if ok[j] else None for j, key in enumerate(kernels)}
+    tol = anchor[2] if anchor else math.inf
+    diag = SelectionDiagnostics()
+    best = None
+    for n in orders:
+        for delta in deltas:
+            cn, lower = corr[n, delta], corr[n - lag, delta]
+            if err[n, delta] > tol:
+                reason = "anchor"
+            elif cn is None or lower is None:
+                reason = "solve"
+            elif np.max(np.abs(cn)) > bound or np.max(np.abs(lower)) > bound:
+                reason = "bound"
+            elif (ratio := psd_ratio(Series(grid, cn))) < -CLIP_TOL:
+                reason = "not_psd"
+            else:
+                gap = score(cn, lower)
+                diag.scores[n, delta] = (gap, float(err[n, delta])) if anchor else gap
+                if best is None or gap < best[0]:
+                    best = (gap, kernels[n, delta], ratio)
+                continue
+            diag.rejected[reason] += 1
+    if best is None:
+        raise ValidationError(
+            f"no {'anchored ' if anchor else ''}stable positive-semidefinite kernel "
+            f"configuration found on the candidate grid (rejected: {dict(diag.rejected)})")
+    diag.psd_ratio = best[2]
+    return best[1], diag
+
+
 def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
                                  c0: float = 0.0, c1: float = -0.25,
                                  obs: ObservableSpec | None = None,
@@ -339,11 +428,11 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
     sup |C_n - C_{n-2}| over the horizon: a first-principles convergence
     diagnostic that never references simulation data.
 
-    Returns ``(kernel, diagnostics)``, a :class:`SelectionDiagnostics` whose
-    scores are the consistency gaps.
+    The scan is batched (see :func:`_scan`): each C_n is solved once, as a
+    candidate and as the partner of order n + 2.  Returns
+    ``(kernel, diagnostics)``, a :class:`SelectionDiagnostics` whose scores
+    are the consistency gaps.
     """
-    from .klmodel import CLIP_TOL, psd_ratio
-    from .volterra import solve_correlation
     n_max = len(mu) - 2
     if orders is None:
         orders = [n for n in range(6, n_max + 1, 2)]
@@ -352,46 +441,8 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
     orders = [n for n in orders if 2 < n <= n_max]
     if not orders:
         raise ValidationError("no admissible orders: need mu up to at least 7")
-    diag = SelectionDiagnostics()
-    best = None
-    # (order, delta) -> (kernel, correlation), None if the solve failed; each
-    # order is solved once, as C_n and as C_{n+2}'s partner
-    solved = {}
-
-    def solve(n: int, delta: float):
-        if (n, delta) not in solved:
-            k = build_kernel(MuSequence(mu.values[:n + 2]), "faber",
-                             FaberParams(c0=c0, c1=c1, delta=delta), obs)
-            try:
-                solved[n, delta] = k, solve_correlation(k.streaming, k, grid)
-            except NumericError:
-                solved[n, delta] = None
-        return solved[n, delta]
-
-    for n in orders:
-        for delta in map(float, deltas):
-            a, b = solve(n, delta), solve(n - 2, delta)
-            if a is None or b is None:
-                diag.rejected["solve"] += 1
-                continue
-            (ka, ca), (_, cb) = a, b
-            if np.max(np.abs(ca.values)) > bound or np.max(np.abs(cb.values)) > bound:
-                diag.rejected["bound"] += 1
-                continue
-            ratio = psd_ratio(ca)
-            if ratio < -CLIP_TOL:
-                diag.rejected["not_psd"] += 1
-                continue
-            gap = float(np.max(np.abs(ca.values - cb.values)))
-            diag.scores[n, delta] = gap
-            if best is None or gap < best[0]:
-                best = (gap, ka, ratio)
-    if best is None:
-        raise ValidationError(
-            "no stable positive-semidefinite kernel configuration found on the "
-            f"candidate grid (rejected: {dict(diag.rejected)})")
-    diag.psd_ratio = best[2]
-    return best[1], diag
+    return _scan(mu, grid, orders, deltas, c0, c1, obs, bound, 2,
+                 lambda cn, lower: float(np.max(np.abs(cn - lower))))
 
 
 def dyson_anchor_horizon(mu: MuSequence, order: int = 12, tol: float = 1e-3) -> float:
@@ -427,12 +478,12 @@ def select_kernel_by_reference(mu: MuSequence, grid, reference,
     normalized reference is minimized.  Candidates whose solved correlation
     is not positive semidefinite (the admissibility test of
     :func:`glekit.klmodel.kl_decompose`) are rejected as well, so the chosen
-    correlation always admits a KL representation.  Returns
+    correlation always admits a KL representation.
+
+    The scan is batched (see :func:`_scan`).  Returns
     ``(kernel, diagnostics)``, a :class:`SelectionDiagnostics` whose scores
     are (reference error, anchor error) pairs.
     """
-    from .klmodel import CLIP_TOL, psd_ratio
-    from .volterra import Series, solve_correlation
     ref = reference.values if isinstance(reference, Series) else np.asarray(reference)
     if ref.shape != (grid.n_nodes,):
         raise ValidationError("reference does not match the grid")
@@ -448,40 +499,9 @@ def select_kernel_by_reference(mu: MuSequence, grid, reference,
     ta_grid = np.linspace(0.0, t_a, 101)
     kd = build_kernel(MuSequence(mu.values[:anchor_order + 2]), "dyson",
                       FaberParams(delta=1.0))
-    anchor_vals = kd(ta_grid)
-    scale0 = abs(float(anchor_vals[0]))
-    diag = SelectionDiagnostics()
-    best = None
-    for n in orders:
-        for delta in deltas:
-            fp = FaberParams(c0=c0, c1=c1, delta=float(delta))
-            k = build_kernel(MuSequence(mu.values[:n + 2]), "faber", fp, obs)
-            anchor = float(np.max(np.abs(k(ta_grid) - anchor_vals))) / scale0
-            if anchor > anchor_tol:
-                diag.rejected["anchor"] += 1
-                continue
-            try:
-                c = solve_correlation(k.streaming, k, grid)
-            except NumericError:
-                diag.rejected["solve"] += 1
-                continue
-            if np.max(np.abs(c.values)) > bound:
-                diag.rejected["bound"] += 1
-                continue
-            ratio = psd_ratio(c)
-            if ratio < -CLIP_TOL:
-                diag.rejected["not_psd"] += 1
-                continue
-            err = float(np.max(np.abs(c.values - ref)))
-            diag.scores[(n, float(delta))] = (err, anchor)
-            if best is None or err < best[0]:
-                best = (err, k, ratio)
-    if best is None:
-        raise ValidationError(
-            "no anchored stable positive-semidefinite kernel configuration "
-            f"found (rejected: {dict(diag.rejected)})")
-    diag.psd_ratio = best[2]
-    return best[1], diag
+    return _scan(mu, grid, orders, deltas, c0, c1, obs, bound, 0,
+                 lambda cn, _: float(np.max(np.abs(cn - ref))),
+                 (ta_grid, kd(ta_grid), anchor_tol))
 
 
 def estimate_scaling(gamma: GammaSequence) -> FaberParams:

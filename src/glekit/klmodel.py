@@ -362,7 +362,10 @@ def gle_sample_paths(omega: float, kernel, f_paths: np.ndarray,
         raise ValidationError("forcing paths do not match the grid")
     if u0.shape != (s,):
         raise ValidationError("one initial value per forcing path required")
-    return _march(k, omega, u0, grid.dt, f.T).T
+    u = _march(k, omega, u0, grid.dt, f.T).T
+    if not np.all(np.isfinite(u)):
+        raise NumericError("Volterra march produced non-finite values")
+    return u
 
 
 def compute_v_matrix(basis: KLBasis, gram: float = 1.0) -> np.ndarray:

@@ -2,16 +2,19 @@
 
 All convolutions use trapezoidal product integration on uniform grids, so the
 whole module is second-order in dt.  One predictor-corrector marcher,
-:func:`_march`, solves the correlation equation and the GLE sample paths of
-:mod:`glekit.klmodel`.  Two solvers keep their own loops on purpose, since
-each solves for what the marcher takes as given: kernel deconvolution (a
-forward substitution for K with pivot dt*C(0)/2) and the coupled fluctuation
-modes (a K x K endpoint system per step, as the kernel depends on them).
+:func:`_march`, solves the correlation equation, the GLE sample paths of
+:mod:`glekit.klmodel` and, in one batch, all correlations of a selection
+scan in :mod:`glekit.kernels`.  Two solvers keep their own loops on purpose,
+since each solves for what the marcher takes as given: kernel deconvolution
+(a forward substitution for K with pivot dt*C(0)/2) and the coupled
+fluctuation modes (a K x K endpoint system per step, as the kernel depends
+on them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,34 +92,40 @@ def _sample_kernel(kernel, grid: TimeGrid) -> np.ndarray:
     return k
 
 
-def _march(k: np.ndarray, omega: float, x0, dt: float, forcing) -> np.ndarray:
-    """March dx/dt = Omega x + int_0^t K(t-s) x(s) ds + f(t) over the nodes of ``k``.
+def _march(k: np.ndarray, omega, x0, dt: float, forcing) -> np.ndarray:
+    """March dx/dt = Omega x + int_0^t K(t-s) x(s) ds + f(t) over the rows of ``k``.
 
     Trapezoidal convolution, one predictor-corrector sweep per step.  The
     state is time-major, ``(len(k),) + shape(x0)``, so a scalar start and a
-    batch share the loop; ``forcing[i]`` broadcasts against ``x0``.  Each
-    step's history sum serves its corrector and the next step's rate.
+    batch share the loop; ``forcing[i]`` broadcasts against ``x0``.  A 1-D
+    ``k`` drives every column through ``np.dot``; an ``(n_nodes, batch)``
+    kernel with a per-column ``omega`` marches one equation per column.
+    Each step's history sum serves its corrector and the next step's rate.
+    Values are not checked: a column that overflows leaves the others
+    untouched, and callers decide what a non-finite column means.
     """
     x = np.empty((len(k),) + np.shape(x0))
     x[0] = x0
+    dot = np.dot if k.ndim == 1 else partial(np.einsum, "ij,ij->j")
     half_k0 = 0.5 * k[0]
     rate = omega * x[0] + forcing[0]
     for i in range(len(k) - 1):
-        hist = np.dot(k[i:0:-1], x[1:i + 1])
+        hist = dot(k[i:0:-1], x[1:i + 1])
         end = 0.5 * k[i + 1] * x[0]
         pred = x[i] + dt * rate
         rate_pred = omega * pred + dt * (end + half_k0 * pred + hist) + forcing[i + 1]
         x[i + 1] = x[i] + 0.5 * dt * (rate + rate_pred)
         rate = omega * x[i + 1] + dt * (end + half_k0 * x[i + 1] + hist) + forcing[i + 1]
-    if not np.all(np.isfinite(x)):
-        raise NumericError("Volterra march produced non-finite values")
     return x
 
 
 def solve_correlation(omega: float, kernel, grid: TimeGrid, c0: float = 1.0) -> Series:
     """Integrate dC/dt = Omega C + int_0^t K(t-s) C(s) ds with C(0) = c0."""
     k = _sample_kernel(kernel, grid)
-    return Series(grid, _march(k, omega, c0, grid.dt, np.zeros(grid.n_nodes)))
+    c = _march(k, omega, c0, grid.dt, np.zeros(grid.n_nodes))
+    if not np.all(np.isfinite(c)):
+        raise NumericError("Volterra march produced non-finite values")
+    return Series(grid, c)
 
 
 def _derivative_4(values: np.ndarray, dt: float) -> np.ndarray:

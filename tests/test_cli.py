@@ -55,6 +55,31 @@ def test_correlate_inline_matches_bessel(tmp_path):
     assert np.max(np.abs(series.values - target)) < 0.02
 
 
+def test_consistency_selection_in_manifests(tmp_path):
+    from glekit.klmodel import CLIP_TOL
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       kernel={"basis": "faber", "order": 10, "delta": "consistency"},
+                       grid={"horizon": 2.0, "dt": 0.02})
+    blocks = []
+    for command in ("kernel", "correlate"):
+        assert main([command, str(cfg)]) == 0
+        blocks.append(json.loads((tmp_path / "out" / "manifest.json").read_text())["selection"])
+    assert blocks[0] == blocks[1]
+    sel = blocks[0]
+    assert sel["candidates"] == 3 * 33  # orders 6, 8, 10 on the default delta grid
+    assert sel["admissible"] + sum(sel["rejected"].values()) == sel["candidates"]
+    assert sel["admissible"] >= 1
+    assert set(sel["rejected"]) <= {"solve", "bound", "not_psd"}
+    _, kmeta = read_columns(tmp_path / "out" / "kernel.csv")
+    assert (sel["order"], sel["delta"]) == (kmeta["order"], kmeta["delta"])
+    assert sel["psd_margin"] == pytest.approx(sel["psd_ratio"] + CLIP_TOL)
+    assert sel["psd_margin"] >= 0
+    # a kernel with a fixed delta has no scan to explain
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    assert main(["kernel", str(cfg)]) == 0
+    assert "selection" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
 def test_correlate_from_kernel_file(tmp_path):
     grid = TimeGrid(dt=0.01, horizon=5.0)
     t = grid.times

@@ -294,3 +294,28 @@ def test_marcher_matches_reference_formulas(dt, horizon):
     de = np.column_stack([_derivative_4(e[:, j], dt) for j in range(4)])
     ref = _reference_known_kernel_modes(k, e, de + 0.3 * e, dt)
     assert _close(np.column_stack([h.values for h in hs]), ref)
+
+
+def test_batched_march_matches_solo_columns():
+    from glekit.volterra import _march
+    grid = TimeGrid(dt=0.01, horizon=4.0)
+    t = grid.times
+    kernels = np.column_stack([
+        bessel_kernel(t), 0.5 * bessel_kernel(0.7 * t), -np.exp(-t) * np.cos(3 * t),
+        np.zeros_like(t), -2.0 * np.exp(-t * t), np.full_like(t, 1e6)])
+    omegas = np.array([0.0, -0.3, 0.2, -1.0, 0.5, 50.0])
+    ones, zeros = np.ones(len(omegas)), np.zeros(grid.n_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _march(kernels, omegas, ones, grid.dt, zeros)
+    assert batch.shape == (grid.n_nodes, len(omegas))
+    # the last column overflows; the others are each within rounding of a solo solve
+    assert not np.all(np.isfinite(batch[:, -1]))
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        solve_correlation(omegas[-1], kernels[:, -1], grid)
+    for j in range(len(omegas) - 1):
+        solo = solve_correlation(omegas[j], kernels[:, j], grid).values
+        assert np.array_equal(solo, _march(kernels[:, j], omegas[j], 1.0, grid.dt, zeros))
+        assert np.max(np.abs(batch[:, j] - solo)) <= 1e-13 * np.max(np.abs(solo))
+    # without the overflowing column the finite columns come out the same
+    assert np.array_equal(batch[:, :-1],
+                          _march(kernels[:, :-1], omegas[:-1], ones[:-1], grid.dt, zeros))
