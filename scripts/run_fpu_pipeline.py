@@ -74,7 +74,8 @@ def main() -> int:
     print(f"[{time.time()-t0:6.1f}s] kernel order {kern.order}, "
           f"delta {kern.delta:.4f}, K(0) = {kern(0.0):.6g}, "
           f"consistency gap {min(diag.scores.values()):.2g}, "
-          f"PSD ratio {diag.psd_ratio:.2g}, rejected {dict(diag.rejected)}")
+          f"PSD ratio {diag.psd_ratio:.2g}, rejected {dict(diag.rejected)}, "
+          f"eigensolves {diag.eigensolves}")
     corr = solve_correlation(kern.streaming, kern, grid)
     write_series(out / "correlation_fp.csv", corr,
                  {"gram": gram, "order": kern.order, "delta": kern.delta},

@@ -73,6 +73,7 @@ def _kernel_pipeline(cfg: ExperimentConfig):
             "order": kernel.order, "delta": kernel.delta,
             "psd_ratio": diag.psd_ratio,
             "psd_margin": diag.psd_ratio + CLIP_TOL,  # distance above -CLIP_TOL
+            "eigensolves": diag.eigensolves,  # PSD tests the certificate left open
         }
         return system, measure, obs, gam, mu, kernel, {"selection": selection}
     if kc.delta is None:

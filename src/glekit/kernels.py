@@ -338,12 +338,16 @@ class SelectionDiagnostics:
     solve failed numerically), ``bound`` (|C| exceeded the blow-up bound) and
     ``not_psd`` (the correlation is not a covariance, see
     :func:`glekit.klmodel.psd_ratio`).  ``psd_ratio`` is the min/max
-    eigenvalue ratio of the chosen kernel's correlation.
+    eigenvalue ratio of the chosen kernel's correlation.  ``eigensolves``
+    counts the PSD tests that reached the eigensolve; the others were
+    rejected by the Cholesky certificate
+    :func:`glekit.klmodel.proves_not_psd`.
     """
 
     scores: dict = field(default_factory=dict)
     rejected: Counter = field(default_factory=Counter)
     psd_ratio: float = math.nan
+    eigensolves: int = 0
 
 
 def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
@@ -358,8 +362,19 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
     ``tol * |k_a[0]|`` of ``k_a`` at the times ``t_a``; C_n and C_{n-lag}
     must be finite and within ``bound``; C_n must pass the PSD test.  The
     admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins.
+
+    The PSD test has two steps on Nystrom matrices built from one layout of
+    the grid.  A failed Cholesky factorization of the shifted matrix
+    (:func:`glekit.klmodel.proves_not_psd`) proves the candidate indefinite
+    beyond the clip tolerance and rejects it.  Every other candidate gets
+    the eigensolve of :func:`glekit.klmodel.psd_ratio` and the comparison
+    of :func:`glekit.klmodel.admissible`, which is the test of
+    :func:`glekit.klmodel.kl_decompose`.  The certificate only saves
+    eigensolves: a candidate it rejects would fail the eigensolve's test
+    too, so the choice, the scores and ``psd_ratio`` are those of the
+    eigensolve alone.
     """
-    from .klmodel import CLIP_TOL, psd_ratio
+    from .klmodel import NystromLayout, admissible, proves_not_psd, psd_ratio
     deltas = [float(d) for d in deltas]
     solved = sorted(set(orders) | {n - lag for n in orders})
     unique = list(dict.fromkeys(deltas))
@@ -383,6 +398,7 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
     ok &= np.isfinite(c).all(axis=0)
     corr = {key: c[:, j] if ok[j] else None for j, key in enumerate(kernels)}
     tol = anchor[2] if anchor else math.inf
+    layout = NystromLayout.of(grid)
     diag = SelectionDiagnostics()
     best = None
     for n in orders:
@@ -394,14 +410,18 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
                 reason = "solve"
             elif np.max(np.abs(cn)) > bound or np.max(np.abs(lower)) > bound:
                 reason = "bound"
-            elif (ratio := psd_ratio(Series(grid, cn))) < -CLIP_TOL:
+            elif proves_not_psd(c_n := Series(grid, cn), layout):
                 reason = "not_psd"
             else:
-                gap = score(cn, lower)
-                diag.scores[n, delta] = (gap, float(err[n, delta])) if anchor else gap
-                if best is None or gap < best[0]:
-                    best = (gap, kernels[n, delta], ratio)
-                continue
+                diag.eigensolves += 1
+                ratio = psd_ratio(c_n, layout)
+                if admissible(ratio):
+                    gap = score(cn, lower)
+                    diag.scores[n, delta] = (gap, float(err[n, delta])) if anchor else gap
+                    if best is None or gap < best[0]:
+                        best = (gap, kernels[n, delta], ratio)
+                    continue
+                reason = "not_psd"
             diag.rejected[reason] += 1
     if best is None:
         raise ValidationError(
@@ -429,7 +449,9 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
     diagnostic that never references simulation data.
 
     The scan is batched (see :func:`_scan`): each C_n is solved once, as a
-    candidate and as the partner of order n + 2.  Returns
+    candidate and as the partner of order n + 2.  The PSD test runs in two
+    steps: a Cholesky certificate rejects clearly indefinite correlations,
+    and only the others get the eigensolve.  Returns
     ``(kernel, diagnostics)``, a :class:`SelectionDiagnostics` whose scores
     are the consistency gaps.
     """
@@ -480,7 +502,9 @@ def select_kernel_by_reference(mu: MuSequence, grid, reference,
     :func:`glekit.klmodel.kl_decompose`) are rejected as well, so the chosen
     correlation always admits a KL representation.
 
-    The scan is batched (see :func:`_scan`).  Returns
+    The scan is batched (see :func:`_scan`), and its PSD test runs in two
+    steps: a Cholesky certificate rejects clearly indefinite correlations,
+    and only the others get the eigensolve.  Returns
     ``(kernel, diagnostics)``, a :class:`SelectionDiagnostics` whose scores
     are (reference error, anchor error) pairs.
     """

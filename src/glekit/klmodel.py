@@ -25,6 +25,8 @@ from .volterra import Series, TimeGrid, _derivative_4, _march, _sample_kernel
 
 ENERGY_FLOOR = 1e-8
 CLIP_TOL = 1e-6
+# relative margin of the Cholesky certificate over CLIP_TOL, see proves_not_psd
+CERT_MARGIN = 1e-6
 
 
 @dataclass
@@ -47,28 +49,85 @@ class KLBasis:
         return (self.modes * lam) @ self.modes.T
 
 
-def _nystrom_matrix(c: Series) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized Nystrom matrix sqrt(w_i) C(|t_i - t_j|) sqrt(w_j) and sqrt(w).
+@dataclass(frozen=True)
+class NystromLayout:
+    """Weights sqrt(w_i w_j) of the Nystrom matrices on a grid.
 
-    ``w`` are the trapezoid weights of the grid; the matrix shares its
-    eigenvalues with the discretized covariance operator.
+    ``w`` are the trapezoid weights of the grid.  Every correlation on the
+    grid shares them, so a selection scan builds them once.
     """
-    vals = c.values
-    n = c.grid.n_nodes
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    sw = np.sqrt(c.grid.trapezoid_weights())
-    return vals[idx] * np.outer(sw, sw), sw
+
+    weights: np.ndarray
+    sw: np.ndarray                   # sqrt(w)
+
+    @classmethod
+    def of(cls, grid: TimeGrid) -> "NystromLayout":
+        sw = np.sqrt(grid.trapezoid_weights())
+        return cls(np.outer(sw, sw), sw)
+
+    def matrix(self, vals: np.ndarray) -> np.ndarray:
+        """Symmetrized Nystrom matrix sqrt(w_i) C(|t_i - t_j|) sqrt(w_j).
+
+        It shares its eigenvalues with the discretized covariance operator.
+        The Toeplitz factor C(|t_i - t_j|) is a strided view of C at the
+        lags -(n - 1) .. n - 1, so the product is the only n x n array made.
+        """
+        n = len(vals)
+        lags = np.concatenate([vals[:0:-1], vals])
+        return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1] * self.weights
 
 
-def psd_ratio(c: Series) -> float:
+def _eigen_ratio(lam: np.ndarray) -> float:
+    """lam[0] / lam[-1] of ascending eigenvalues; -inf unless lam[-1] > 0."""
+    return float(lam[0] / lam[-1]) if lam[-1] > 0 else -math.inf
+
+
+def admissible(ratio: float, clip_tol: float = CLIP_TOL) -> bool:
+    """The covariance test of KL: lambda_min / lambda_max at least -clip_tol.
+
+    :func:`kl_decompose` and the selection scans both decide with it.
+    """
+    return ratio >= -clip_tol
+
+
+def psd_ratio(c: Series, layout: NystromLayout | None = None) -> float:
     """Smallest over largest eigenvalue of the Nystrom matrix of ``c``.
 
     A correlation is a valid covariance for :func:`kl_decompose` when this
-    ratio is at least ``-CLIP_TOL`` and the largest eigenvalue is positive;
-    ``-inf`` is returned when it is not positive.
+    ratio is :func:`admissible`; ``-inf`` is returned when the largest
+    eigenvalue is not positive.  A caller that tests many correlations on
+    one grid passes its ``layout``.  The selection scans call it only for
+    the candidates that :func:`proves_not_psd` cannot reject.
     """
-    lam = np.linalg.eigvalsh(_nystrom_matrix(c)[0])
-    return float(lam[0] / lam[-1]) if lam[-1] > 0 else -math.inf
+    if layout is None:
+        layout = NystromLayout.of(c.grid)
+    return _eigen_ratio(np.linalg.eigvalsh(layout.matrix(c.values)))
+
+
+def proves_not_psd(c: Series, layout: NystromLayout) -> bool:
+    """True when a failed Cholesky factorization proves ``c`` inadmissible.
+
+    With B the Nystrom matrix of ``c`` and U its largest absolute row sum,
+    Gershgorin gives U >= lambda_max.  The factorization of B + s I, with
+    s = U (CLIP_TOL (1 + CERT_MARGIN) + n (n + 1) eps), fails only if
+    lambda_min(B) + s <= n (n + 1) eps (lambda_max + s) (Demmel's bound;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
+    10), so a failure proves lambda_min / lambda_max < -CLIP_TOL (1 +
+    CERT_MARGIN).  The margin exceeds the rounding of the eigensolve in
+    :func:`psd_ratio`, about n eps |B|, up to some 9,000 nodes, so a
+    candidate it rejects would not be :func:`admissible` either.  A False
+    proves nothing: the caller then runs the eigensolve.  The factorization
+    costs about a third of it.
+    """
+    from scipy.linalg.lapack import dpotrf
+    # the weights are positive, so |B| is the Nystrom matrix of |C|
+    u = np.max(np.sum(layout.matrix(np.abs(c.values)), axis=1))
+    b = layout.matrix(c.values)
+    n = len(b)
+    b.flat[::n + 1] += u * (CLIP_TOL * (1 + CERT_MARGIN) + n * (n + 1) * np.finfo(float).eps)
+    # b is symmetric, so b.T is the same matrix in the Fortran order that
+    # dpotrf factors in place; info > 0 names a minor that is not positive
+    return dpotrf(b.T, lower=1, clean=0, overwrite_a=1)[1] > 0
 
 
 def kl_decompose(c: Series, kmax: int | None = None,
@@ -89,21 +148,21 @@ def kl_decompose(c: Series, kmax: int | None = None,
         raise ValidationError("need C(0) > 0 for a covariance kernel")
     if not np.all(np.isfinite(vals)):
         raise NumericError("covariance series has non-finite entries")
-    b, sw = _nystrom_matrix(c)
-    lam, y = np.linalg.eigh(b)
-    lam, y = lam[::-1], y[:, ::-1]
-    if lam[0] <= 0:
+    layout = NystromLayout.of(c.grid)
+    lam, y = np.linalg.eigh(layout.matrix(vals))
+    if lam[-1] <= 0:
         raise ValidationError("covariance kernel is not positive")
-    if np.any(lam < -clip_tol * lam[0]):
+    if not admissible(_eigen_ratio(lam), clip_tol):
         raise ValidationError(
             "input is not positive semidefinite beyond the clip tolerance")
+    lam, y = lam[::-1], y[:, ::-1]
     trace_discrete = float(np.sum(np.clip(lam, 0.0, None)))
     lam = np.clip(lam, 0.0, None)
     keep = lam > energy_floor * lam[0]
     if kmax is not None:
         keep[kmax:] = False
     lam = lam[keep]
-    modes = y[:, keep] / sw[:, None]
+    modes = y[:, keep] / layout.sw[:, None]
     # deterministic sign: largest-magnitude component positive
     for k in range(modes.shape[1]):
         j = np.argmax(np.abs(modes[:, k]))
@@ -264,8 +323,8 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     qs = marginal.quantile((np.arange(s) + 0.5) / s)
     target_acf = basis.source_acf
     probes = np.linspace(0.01, 0.99, 99)
+    paths = _build_paths(basis, xi)
     for it in range(1, iters + 1):
-        paths = _build_paths(basis, xi)
         order = np.argsort(paths, axis=0)
         remapped = np.empty_like(paths)
         np.put_along_axis(remapped, order, np.broadcast_to(qs[:, None], paths.shape),

@@ -74,6 +74,9 @@ def test_consistency_selection_in_manifests(tmp_path):
     assert (sel["order"], sel["delta"]) == (kmeta["order"], kmeta["delta"])
     assert sel["psd_margin"] == pytest.approx(sel["psd_ratio"] + CLIP_TOL)
     assert sel["psd_margin"] >= 0
+    # the certificate rejects only not_psd candidates; the rest reach the eigensolve
+    not_psd = sel["rejected"].get("not_psd", 0)
+    assert sel["admissible"] <= sel["eigensolves"] <= sel["admissible"] + not_psd
     # a kernel with a fixed delta has no scan to explain
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg)]) == 0

@@ -25,6 +25,7 @@ from glekit.kernels import (
     select_kernel_by_reference,
     temporal_mode,
 )
+from glekit import klmodel
 from glekit.klmodel import CLIP_TOL, kl_decompose, psd_ratio
 from glekit.measures import (
     Gaussian,
@@ -431,6 +432,29 @@ def test_reference_selector_rejects_indefinite_best(quartic_selection):
     assert sum(diag.rejected.values()) + len(diag.scores) == 6
 
 
+@pytest.mark.parametrize("select", ["consistency", "reference"])
+def test_certificate_moves_no_decision(quartic_selection, monkeypatch, select):
+    # the Cholesky certificate only saves eigensolves: with it switched off,
+    # every PSD test runs the eigensolve and the scan decides the same
+    mus, obs, grid, indefinite = quartic_selection
+    ref = solve_correlation(indefinite.streaming, indefinite, grid).values
+    deltas = [0.3, 0.325, 0.35, 0.375, 0.4]
+
+    def scan():
+        if select == "consistency":
+            return select_kernel_by_consistency(mus, grid, deltas=deltas, obs=obs)
+        return select_kernel_by_reference(mus, grid, ref, deltas=deltas, obs=obs)
+
+    kern, diag = scan()
+    monkeypatch.setattr(klmodel, "proves_not_psd", lambda c, layout: False)
+    plain_kern, plain = scan()
+    assert (kern.order, kern.delta) == (plain_kern.order, plain_kern.delta)
+    assert (diag.scores, diag.rejected) == (plain.scores, plain.rejected)
+    assert diag.psd_ratio == plain.psd_ratio
+    assert plain.eigensolves == len(plain.scores) + plain.rejected["not_psd"]
+    assert len(diag.scores) <= diag.eigensolves < plain.eigensolves
+
+
 def test_selector_error_names_rejection_reasons(quartic_selection):
     mus, obs, grid, indefinite = quartic_selection
     with pytest.raises(ValidationError, match="not_psd"):
@@ -479,3 +503,20 @@ def test_consistency_scan_choice_on_benchmark_chain():
     assert len(diag.scores) == 8
     assert diag.psd_ratio == pytest.approx(-8.7455851053e-7, rel=1e-9)
     assert -CLIP_TOL < diag.psd_ratio < -0.85 * CLIP_TOL
+
+
+def test_consistency_scan_choice_on_short_benchmark_table():
+    """The same chain with the n = 16 table of the benchmark's MC workload:
+    the same choice and ratio, with the certificate leaving 8 of the 51 PSD
+    tests to the eigensolve."""
+    system = fpu_chain(100, alpha1=1, beta1=1, mass=1)
+    measure = gibbs_measure(system, 40.0)
+    obs = ObservableSpec.from_measure(Polynomial.variable(50), measure)
+    mus = mu_sequence(gamma_sequence(system.operator, obs, measure, 16, skew=True))
+    grid = TimeGrid(dt=0.01, horizon=4.0)
+    kern, diag = select_kernel_by_consistency(mus, grid, obs=obs)
+    assert (kern.order, kern.delta) == (6, 0.35)
+    assert diag.rejected == {"bound": 114, "not_psd": 43}
+    assert len(diag.scores) == 8
+    assert diag.eigensolves == 8
+    assert diag.psd_ratio == pytest.approx(-8.7455851053e-7, rel=1e-9)

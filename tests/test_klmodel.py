@@ -1,21 +1,29 @@
 """KL decomposition, marginal-matched sampling, noise construction, GLE paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 from glekit.errors import ValidationError
+from glekit import klmodel
 from glekit.klmodel import (
+    CLIP_TOL,
     DensityMarginal,
     GaussianMarginal,
     KLBasis,
+    NystromLayout,
     build_fluctuation_process,
     compute_v_matrix,
     gle_sample_paths,
     higher_order_acf,
     kl_decompose,
+    proves_not_psd,
+    psd_ratio,
     sample_ensemble,
 )
 from glekit.measures import QuarticGibbs, moment
@@ -113,6 +121,75 @@ def test_invalid_covariance_rejected():
         kl_decompose(Series(grid, bad))
 
 
+# ratios around the clip tolerance: just past it either way, and within the
+# eigensolve's rounding of it
+NEAR_CLIP = [-CLIP_TOL * (1 + f) for f in (1e-3, -1e-3, 1e-8, -1e-8)]
+
+
+def _with_ratio(grid, vals, target):
+    """``vals`` with C(0) shifted until the Nystrom ratio is ``target``.
+
+    Raising C(0) raises every eigenvalue of the Nystrom matrix, the smallest
+    relative to the largest, so the ratio is monotone in the shift.
+    """
+    def ratio(shift):
+        return psd_ratio(Series(grid, np.concatenate([[vals[0] + shift], vals[1:]])))
+
+    shift = optimize.brentq(lambda x: ratio(x) - target, -1.0, 1.0, xtol=1e-16, rtol=1e-15)
+    return np.concatenate([[vals[0] + shift], vals[1:]])
+
+
+@pytest.mark.parametrize("target", NEAR_CLIP + [-2 * CLIP_TOL])
+def test_certificate_sound_near_clip_tolerance(target):
+    # Toeplitz correlation times trapezoid weights, tuned to the boundary;
+    # its U / lambda_max is about 1.35, so at twice the tolerance the
+    # certificate must reject on its own
+    grid = TimeGrid(dt=0.05, horizon=5.0)
+    vals = _with_ratio(grid, np.exp(-0.3 * grid.times) * np.cos(2.0 * grid.times), target)
+    c = Series(grid, vals)
+    ratio = psd_ratio(c)
+    assert ratio == pytest.approx(target, rel=1e-6)
+    rejected = proves_not_psd(c, NystromLayout.of(grid))
+    if rejected:
+        assert ratio < -CLIP_TOL
+    assert rejected or target > -2 * CLIP_TOL
+
+
+@pytest.mark.parametrize("target", NEAR_CLIP)
+def test_certificate_margin_on_tight_gershgorin_bound(target):
+    # a symmetric circulant (Toeplitz) matrix with unit weights and nonnegative
+    # entries: its largest eigenvalue is its row sum, so the certificate sees
+    # lambda_max exactly and decides at -CLIP_TOL (1 + CERT_MARGIN + rounding)
+    n = 64
+    grid = TimeGrid(dt=1.0, horizon=n - 1.0)
+    shift = 2 * target / (1 - target)  # eigenvalues 1 + shift + cos(2 pi k / n)
+    vals = np.zeros(n)
+    vals[0], vals[1], vals[-1] = 1 + shift, 0.5, 0.5
+    unit = NystromLayout(np.ones((n, n)), np.ones(n))
+    c = Series(grid, vals)
+    assert psd_ratio(c, unit) == pytest.approx(target, rel=1e-7)
+    assert proves_not_psd(c, unit) == (target == NEAR_CLIP[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(decay=st.floats(0.0, 2.0), freq=st.floats(0.0, 6.0),
+       second=st.floats(0.0, 1.0), nodes=st.integers(8, 120),
+       dt=st.sampled_from([0.01, 0.05, 0.1]), excess=st.floats(-0.5, 2.0))
+def test_certificate_rejects_only_inadmissible(decay, freq, second, nodes, dt, excess):
+    # random decaying correlations, C(0) moved so that the ratio lands near
+    # -CLIP_TOL (1 + excess); whenever the certificate rejects, the
+    # eigensolve must too
+    grid = TimeGrid(dt=dt, horizon=(nodes - 1) * dt)
+    t = grid.times
+    vals = np.exp(-decay * t) * (np.cos(freq * t) + second * np.cos(3.1 * freq * t))
+    layout = NystromLayout.of(grid)
+    lam = np.linalg.eigvalsh(layout.matrix(vals))
+    vals[0] += (-CLIP_TOL * (1 + excess) * lam[-1] - lam[0]) / dt
+    c = Series(grid, vals)
+    if proves_not_psd(c, layout):
+        assert psd_ratio(c, layout) < -CLIP_TOL
+
+
 def test_gaussian_marginal_is_fixed_point(harmonic_basis):
     basis = harmonic_basis
     ens = sample_ensemble(basis, GaussianMarginal(0.0, 1.0), 8000, iters=10, seed=1)
@@ -142,6 +219,52 @@ def test_paths_reconstruct_from_xi(harmonic_basis):
     amp = np.sqrt(ens.basis.eigenvalues)
     rebuilt = ens.xi @ (amp[:, None] * ens.basis.modes.T)
     assert np.max(np.abs(rebuilt - ens.paths)) < 1e-12
+
+
+def _sample_ensemble_reference(basis, marginal, n_samples, iters, seed,
+                               marginal_tol, acf_tol):
+    """The sampler loop with its paths rebuilt at the start of every sweep."""
+    basis = klmodel._sampling_truncation(basis, n_samples, None)
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((n_samples, basis.rank))
+    qs = marginal.quantile((np.arange(n_samples) + 0.5) / n_samples)
+    probes = np.linspace(0.01, 0.99, 99)
+    for it in range(1, iters + 1):
+        paths = klmodel._build_paths(basis, xi)
+        order = np.argsort(paths, axis=0)
+        remapped = np.empty_like(paths)
+        np.put_along_axis(remapped, order, np.broadcast_to(qs[:, None], paths.shape),
+                          axis=0)
+        xi = klmodel._project_xi(basis, remapped)
+        xi -= xi.mean(axis=0)
+        xi /= np.maximum(xi.std(axis=0), 1e-300)
+        paths = klmodel._build_paths(basis, xi)
+        marg_err = klmodel._marginal_error(paths, marginal, probes)
+        mom_err = klmodel._moment_error(paths, qs)
+        acf = klmodel._ensemble_acf(paths)
+        acf_err = float(np.max(np.abs(acf - basis.source_acf)) / basis.source_acf[0])
+        if max(marg_err, mom_err) <= marginal_tol and acf_err <= acf_tol:
+            break
+    return xi, paths, marg_err, mom_err, acf_err, it
+
+
+@pytest.mark.parametrize("marginal_tol, iters", [(0.0, 4), (0.02, 10)])
+def test_sample_ensemble_matches_per_sweep_rebuild(marginal_tol, iters):
+    density = QuarticGibbs(40.0, 1.0, 1.0)
+    marginal = DensityMarginal(density)
+    grid = TimeGrid(dt=0.05, horizon=4.0)
+    basis = kl_decompose(Series(grid, float(moment(density, 2)) * special.jv(0, 2 * grid.times)))
+    xi, paths, marg_err, mom_err, acf_err, it = _sample_ensemble_reference(
+        basis, marginal, 3000, iters, 17, marginal_tol, 0.05)
+    assert it >= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ens = sample_ensemble(basis, marginal, 3000, iters=iters, seed=17,
+                              marginal_tol=marginal_tol)
+    np.testing.assert_array_equal(ens.xi, xi)
+    np.testing.assert_array_equal(ens.paths, paths)
+    assert (ens.marginal_error, ens.moment_error, ens.acf_error) == (marg_err, mom_err, acf_err)
+    assert ens.iterations == it
 
 
 def test_single_mode_marginal_remap():

@@ -31,6 +31,7 @@ def test_fpu_pipeline_script(tmp_path):
     names += [f"{src}_acf_m{m}.csv" for src in ("kl", "mc") for m in (1, 2, 4)]
     for name in names:
         assert (out / name).stat().st_size > 0
+    assert "eigensolves" in proc.stdout
     # the measure decides the arithmetic; there is no mode switch
     proc = run_script("run_fpu_pipeline.py", "--float-mode", cwd=tmp_path)
     assert proc.returncode == 2 and "--float-mode" in proc.stderr
