@@ -106,10 +106,10 @@ def sample_equilibrium(params: ChainParams, rng, batch: int | None = None) -> Ch
 
 
 def _force_impulse(r: np.ndarray, params: ChainParams, half: float,
-                   vp: np.ndarray, out: np.ndarray) -> None:
+                   vp: np.ndarray, out: np.ndarray, n_sites: int) -> None:
     """out = half * dp/dt with dp_j/dt = V'(r_{j+1}) - V'(r_j), periodic wrap.
 
-    Works in place on 2D (replica, site) arrays; ``vp`` is scratch.
+    Works in place on flat runs of ``n_sites``-site rows; ``vp`` is scratch.
     """
     if params.beta1 == 0:
         np.multiply(params.alpha1, r, out=vp)
@@ -118,8 +118,8 @@ def _force_impulse(r: np.ndarray, params: ChainParams, half: float,
         vp *= params.beta1
         vp += params.alpha1
         vp *= r
-    np.subtract(vp[:, 1:], vp[:, :-1], out=out[:, :-1])
-    np.subtract(vp[:, :1], vp[:, -1:], out=out[:, -1:])
+    np.subtract(vp[1:], vp[:-1], out=out[:-1])
+    np.subtract(vp[::n_sites], vp[n_sites - 1::n_sites], out=out[n_sites - 1::n_sites])
     out *= half
 
 
@@ -132,6 +132,13 @@ class _Verlet:
     stays in cache.  Every array operation is, element by element, the one a
     fresh step would do, so results do not depend on how steps or replicas
     are grouped.
+
+    State and scratch are flat views of C-ordered (replica, site) buffers, and
+    a block is a run of whole rows.  A neighbour difference is one contiguous
+    subtraction over the block; the one entry per row that straddles a row
+    boundary is then overwritten by that row's periodic wrap difference.  Each
+    element thus gets the same IEEE operation on the same operands as in a
+    row-by-row shift, so the trajectory is unchanged bit for bit.
     """
 
     BLOCK_SITES = 25_000
@@ -139,22 +146,23 @@ class _Verlet:
     def __init__(self, state: ChainState, params: ChainParams, dt: float):
         if dt == 0:
             raise ValidationError("dt must be nonzero")
+        # copy() is C-ordered, so the flat reshapes below are views of the state
         self.state = ChainState(r=state.r.copy(), p=state.p.copy())
-        n_sites = self.state.r.shape[-1]
-        self._r = self.state.r.reshape(-1, n_sites)
-        self._p = self.state.p.reshape(-1, n_sites)
+        self._n = self.state.r.shape[-1]
+        self._r = self.state.r.reshape(-1)
+        self._p = self.state.p.reshape(-1)
         self._impulse = np.empty_like(self._r)
         self._vp = np.empty_like(self._r)
         self._drift = np.empty_like(self._r)
         self._params = params
         self._dt = dt
         self._half = 0.5 * dt
-        rows = max(1, self.BLOCK_SITES // n_sites)
-        self._blocks = [slice(lo, lo + rows) for lo in range(0, len(self._r), rows)]
-        _force_impulse(self._r, params, self._half, self._vp, self._impulse)
+        span = max(1, self.BLOCK_SITES // self._n) * self._n
+        self._blocks = [slice(lo, lo + span) for lo in range(0, len(self._r), span)]
+        _force_impulse(self._r, params, self._half, self._vp, self._impulse, self._n)
 
     def advance(self, n_steps: int) -> ChainState:
-        mass = self._params.mass
+        mass, n = self._params.mass, self._n
         unit_mass = mass == 1  # x / 1 == x exactly, so skip that division
         for rows in self._blocks:
             r, p = self._r[rows], self._p[rows]
@@ -162,13 +170,13 @@ class _Verlet:
             for _ in range(n_steps):
                 p += hf
                 # drift: r_j += dt (p_j - p_{j-1}) / m
-                np.subtract(p[:, 1:], p[:, :-1], out=d[:, 1:])
-                np.subtract(p[:, :1], p[:, -1:], out=d[:, :1])
+                np.subtract(p[1:], p[:-1], out=d[1:])
+                np.subtract(p[::n], p[n - 1::n], out=d[::n])
                 d *= self._dt
                 if not unit_mass:
                     d /= mass
                 r += d
-                _force_impulse(r, self._params, self._half, vp, hf)
+                _force_impulse(r, self._params, self._half, vp, hf, n)
                 p += hf
         return self.state
 
@@ -210,6 +218,9 @@ def int_power(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+DRIFT_FACTOR = 100.0  # energy-drift bound of mc_autocorrelation, in (omega_max sim_dt)^2
+
+
 def mc_autocorrelation(params: ChainParams, observable: Observable,
                        n_samples: int, grid: TimeGrid, seed=None,
                        sim_dt: float = 1e-3, site_average: bool = True,
@@ -221,7 +232,9 @@ def mc_autocorrelation(params: ChainParams, observable: Observable,
     output grid.  Translation invariance is exploited by averaging the
     product over all sites; per-trajectory statistics feed the jackknife
     standard error.  Batches use RNG streams spawned deterministically from
-    the master seed, so results do not depend on scheduling.
+    the master seed, so results do not depend on scheduling.  A batch whose
+    relative energy change between its first and last output exceeds
+    ``DRIFT_FACTOR (omega_max sim_dt)**2`` raises ``NumericError``.
     """
     if n_samples < 2:
         raise ValidationError("need at least two sample trajectories")
@@ -244,12 +257,20 @@ def mc_autocorrelation(params: ChainParams, observable: Observable,
         prods = np.empty((size, n_out))
         prods[:, 0] = (obs0 * obs0).mean(axis=-1) if site_average else \
             (obs0 * obs0)[:, observable.site]
+        e0 = energy(state, params)
+        # the chain's frequencies are bounded by omega_max^2 = 4 max V''(r) / m
+        curvature = params.alpha1 + 3 * params.beta1 * float(np.max(state.r**2))
+        bound = DRIFT_FACTOR * 4 * curvature / params.mass * sim_dt**2
         verlet = _Verlet(state, params, sim_dt)
         for i in range(1, n_out):
             state = verlet.advance(stride)
             current = int_power(_field(state, observable.field), m)
             prods[:, i] = (obs0 * current).mean(axis=-1) if site_average else \
                 (obs0 * current)[:, observable.site]
+        drift = float(np.max(np.abs(energy(state, params) - e0) / e0))
+        if not drift <= bound:  # NaN-safe
+            raise NumericError(f"Verlet relative energy drift {drift:.3g} exceeds "
+                               f"{bound:.3g} at sim_dt={sim_dt:g}; the step is too long")
         return prods
 
     if n_workers > 1:

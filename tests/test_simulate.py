@@ -20,6 +20,7 @@ from glekit.simulate import (
     sample_quartic_marginal,
     step_verlet,
 )
+from glekit import simulate
 from glekit.simulate import _Verlet
 from glekit.systems import kraichnan_orszag
 from glekit.volterra import TimeGrid
@@ -91,22 +92,63 @@ def _reference_verlet_step(r, p, params, dt):
     return r, p + 0.5 * dt * force(r)
 
 
-@pytest.mark.parametrize("beta1,mass,batch", [
-    (0.0, 1.0, None), (1.0, 1.0, 300), (0.3, 1.7, 7)])
-def test_verlet_matches_reference_bit_for_bit(beta1, mass, batch):
-    # the in-place stepper carries the force between steps and works in
-    # replica blocks; neither may change a single bit of the trajectory
-    params = ChainParams(n_sites=100, alpha1=1.2, beta1=beta1, gamma=2.0, mass=mass)
+@pytest.mark.parametrize("beta1,mass,batch,n_sites,dt", [
+    pytest.param(0.0, 1.0, None, 100, 1e-2, id="0.0-1.0-None"),
+    pytest.param(1.0, 1.0, 300, 100, 1e-2, id="1.0-1.0-300"),
+    pytest.param(0.3, 1.7, 7, 100, 1e-2, id="0.3-1.7-7"),
+    # row seams are a third of all entries of the smallest chain
+    pytest.param(1.0, 1.0, 40, 3, 1e-2, id="3-sites"),
+    pytest.param(0.3, 1.7, None, 3, 1e-2, id="3-sites-unbatched"),
+    # blocks of 250 rows: 250 + 250 + 60
+    pytest.param(1.0, 1.0, 560, 100, 1e-2, id="partial-third-block"),
+    pytest.param(0.3, 1.7, 7, 100, -1e-2, id="negative-dt")])
+def test_verlet_matches_reference_bit_for_bit(beta1, mass, batch, n_sites, dt):
+    # the in-place stepper carries the force between steps, works in replica
+    # blocks and shifts flat rows; none of it may change a single bit
+    params = ChainParams(n_sites=n_sites, alpha1=1.2, beta1=beta1, gamma=2.0, mass=mass)
     state = sample_equilibrium(params, np.random.default_rng(6), batch=batch)
     r, p = state.r, state.p
     for _ in range(50):
-        r, p = _reference_verlet_step(r, p, params, 1e-2)
+        r, p = _reference_verlet_step(r, p, params, dt)
     single = state
     for _ in range(50):
-        single = step_verlet(single, params, 1e-2)
-    grouped = _Verlet(state, params, 1e-2).advance(50)
+        single = step_verlet(single, params, dt)
+    verlet = _Verlet(state, params, dt)
+    grouped = verlet.advance(50)
     for got in (single, grouped):
         assert np.array_equal(got.r, r) and np.array_equal(got.p, p)
+    for rows in verlet._blocks:
+        assert np.shares_memory(verlet._r[rows], verlet.state.r)
+        assert np.shares_memory(verlet._p[rows], verlet.state.p)
+
+
+class _ReferenceVerlet:
+    """The stepper's interface on top of the reference formula."""
+
+    def __init__(self, state, params, dt):
+        self.state, self._params, self._dt = state, params, dt
+
+    def advance(self, n_steps):
+        r, p = self.state.r, self.state.p
+        for _ in range(n_steps):
+            r, p = _reference_verlet_step(r, p, self._params, self._dt)
+        self.state = ChainState(r=r, p=p)
+        return self.state
+
+
+def test_mc_matches_reference_stepper_bit_for_bit(monkeypatch):
+    # 600 replicas of 100 sites make three stepper blocks per batch
+    params = ChainParams(n_sites=100, alpha1=1.0, beta1=1.0, gamma=40.0)
+    grid = TimeGrid(dt=0.05, horizon=0.5)
+
+    def run():
+        return mc_autocorrelation(params, Observable(0, "r", 4), 1200, grid,
+                                  seed=11, sim_dt=1e-2, batch=600)
+    got = run()
+    monkeypatch.setattr(simulate, "_Verlet", _ReferenceVerlet)
+    want = run()
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.se, want.se)
 
 
 def test_verlet_energy_drift_harmonic_mode():
@@ -188,6 +230,14 @@ def test_mc_threaded_determinism():
                            seed=10, sim_dt=1e-2, batch=100, n_workers=4)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.se, b.se)
+
+
+def test_mc_unstable_step_raises():
+    # omega_max = 2 here, so sim_dt = 1.5 is past Verlet's limit 2 / omega_max
+    params = ChainParams(n_sites=8, alpha1=1.0, beta1=0.0, gamma=1.0)
+    grid = TimeGrid(dt=1.5, horizon=30.0)
+    with pytest.raises(NumericError, match="energy drift"):
+        mc_autocorrelation(params, Observable(0, "p", 1), 50, grid, seed=12, sim_dt=1.5)
 
 
 def test_rk4_ko_invariant():
