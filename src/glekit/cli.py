@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, default_threads, write_manifest
+from .config import ExperimentConfig, _rational, write_manifest
 from .errors import NumericError, TermBudgetError, ValidationError
 from .io import read_series, write_columns, write_series
 from .kernels import (
@@ -25,6 +25,7 @@ from .kernels import (
     estimate_scaling,
     gamma_sequence,
     mu_sequence,
+    select_kernel_by_consistency,
 )
 from .klmodel import (
     CLIP_TOL,
@@ -37,8 +38,13 @@ from .klmodel import (
 from .measures import Gaussian, ProductMeasure, gibbs_measure
 from .poly import Polynomial
 from .simulate import ChainParams, Observable, mc_autocorrelation
-from .volterra import GeneralMode, Series, TimeGrid, solve_correlation
-from .config import _rational
+from .volterra import (
+    GeneralMode,
+    Series,
+    TimeGrid,
+    solve_correlation,
+    solve_fluctuation_modes,
+)
 
 
 def _build_context(cfg: ExperimentConfig):
@@ -63,7 +69,6 @@ def _kernel_pipeline(cfg: ExperimentConfig):
                          skew=kc.skew, term_cap=kc.term_cap)
     mu = mu_sequence(gam)
     if kc.delta == "consistency":
-        from .kernels import select_kernel_by_consistency
         kernel, diag = select_kernel_by_consistency(mu, _grid(cfg), c0=kc.c0,
                                                     c1=kc.c1, obs=obs)
         selection = {
@@ -71,6 +76,7 @@ def _kernel_pipeline(cfg: ExperimentConfig):
             "admissible": len(diag.scores),
             "rejected": dict(diag.rejected),
             "order": kernel.order, "delta": kernel.delta,
+            "gap": min(diag.scores.values()),  # the chosen pair's score
             "psd_ratio": diag.psd_ratio,
             "psd_margin": diag.psd_ratio + CLIP_TOL,  # distance above -CLIP_TOL
             "eigensolves": diag.eigensolves,  # PSD tests the certificate left open
@@ -98,7 +104,7 @@ def cmd_kernel(cfg: ExperimentConfig) -> int:
         "basis": kernel.basis, "order": kernel.order, "delta": kernel.delta,
         "c0": float(kernel.faber.c0) if kernel.faber else 0.0,
         "c1": float(kernel.faber.c1) if kernel.faber else 0.0,
-        "gram": float(obs.gram),
+        "gram": float(obs.gram), "streaming": kernel.streaming,
         "gamma_table": [float(g) for g in gam.values],
         "mu_table": [float(v) for v in mu.values],
     }
@@ -149,8 +155,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     observable = Observable(site=cfg.observable.site, field=cfg.observable.field,
                             power=cfg.observable.power)
     acf = mc_autocorrelation(params, observable, cfg.mc.n_samples, grid,
-                             seed=cfg.mc.seed, sim_dt=cfg.mc.sim_dt,
-                             n_workers=cfg.threads)
+                             seed=cfg.mc.seed, sim_dt=cfg.mc.sim_dt)
     meta = cfg.manifest("mc", {"n_samples": cfg.mc.n_samples, "seed": cfg.mc.seed})
     write_series(out / "mc_acf.csv", acf, meta, value_name="acf")
     write_manifest(out / "manifest.json", meta)
@@ -160,42 +165,25 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
 
 
 def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
-    from .volterra import solve_fluctuation_modes
-
     out = Path(cfg.output_dir)
     grid = _grid(cfg)
-    system, measure, obs = _build_context(cfg)
-    gram = float(obs.gram)
     if correlation_file:
         corr, _ = read_series(correlation_file, value_name="C")
         if corr.grid != grid:
             raise ValidationError("correlation file grid differs from config grid")
-        kernel_callable = None
-        omega = 0.0
-        corr_raw = Series(grid, corr.values * (gram / corr.values[0]))
+        system, measure, obs = _build_context(cfg)
+        kernel, explained = None, {}
+        corr_raw = Series(grid, corr.values * (float(obs.gram) / corr.values[0]))
     else:
-        _, _, obs, gam, mu, kernel, _ = _kernel_pipeline(cfg)
+        system, measure, obs, _, _, kernel, explained = _kernel_pipeline(cfg)
         corr = solve_correlation(kernel.streaming, kernel, grid)
-        kernel_callable = kernel
-        omega = kernel.streaming
-        corr_raw = Series(grid, corr.values * gram)
+        corr_raw = Series(grid, corr.values * float(obs.gram))
     basis = kl_decompose(corr_raw, kmax=cfg.kl.kmax,
                          energy_floor=cfg.kl.energy_floor)
 
     marginal = DensityMarginal(measure.density(cfg.observable.variable_index(system)))
     ens = sample_ensemble(basis, marginal, cfg.kl.n_samples,
                           iters=cfg.kl.iters, seed=cfg.kl.seed)
-
-    if kernel_callable is not None:
-        h = solve_fluctuation_modes(basis.modes, basis.eigenvalues, omega,
-                                    GeneralMode(kernel=kernel_callable), grid)
-        hmat = np.column_stack([s.values for s in h])
-        # the sampled ensemble may retain a prefix of the basis modes
-        f_paths = build_fluctuation_process(ens.basis, hmat[:, :ens.basis.rank], ens)
-        noise_acf = (f_paths[:, :1] * f_paths).mean(axis=0)
-    else:
-        hmat = None
-        noise_acf = None
 
     meta = cfg.manifest("kl", {
         "rank": basis.rank,
@@ -206,18 +194,26 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         "acf_error": ens.acf_error,
         "converged": ens.converged,
         "iterations": ens.iterations,
+        **explained,
     })
     mode_cols = {"t": grid.times}
     for k in range(basis.rank):
         mode_cols[f"e{k + 1}"] = basis.modes[:, k]
     write_columns(out / "modes.csv", mode_cols, meta)
-    if hmat is not None:
+    if kernel is not None:
+        h = solve_fluctuation_modes(basis.modes, basis.eigenvalues, kernel.streaming,
+                                    GeneralMode(kernel=kernel), grid)
+        hmat = np.column_stack([s.values for s in h])
         hcols = {"t": grid.times}
         for k in range(basis.rank):
             hcols[f"h{k + 1}"] = hmat[:, k]
         write_columns(out / "hmodes.csv", hcols, meta)
+        # the sampled ensemble may retain a prefix of the basis modes
+        f_paths = build_fluctuation_process(ens.basis, hmat[:, :ens.basis.rank], ens)
+        # FDT closed loop: the noise ACF should follow -<u0, u0> K(t)
         write_columns(out / "noise_acf.csv",
-                      {"t": grid.times, "acf": noise_acf}, meta)
+                      {"t": grid.times, "acf": (f_paths[:, :1] * f_paths).mean(axis=0),
+                       "fdt_target": -float(obs.gram) * kernel(grid.times)}, meta)
     if cfg.kl.export_xi:
         write_columns(out / "xi.csv",
                       {f"xi{k + 1}": ens.xi[:, k] for k in range(basis.rank)},
@@ -284,8 +280,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="JSON experiment config")
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="KEY=VALUE", help="dotted-path config override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (default: GLEKIT_THREADS or 1)")
         return p
 
     add_config_cmd("kernel", "compute gamma/mu tables and the memory kernel")
@@ -314,10 +308,6 @@ def main(argv=None) -> int:
             return cmd_compare(args.file_a, args.file_b, args.max_sup,
                                args.max_l2, args.max_z, args.report)
         cfg = ExperimentConfig.load(args.config, args.overrides)
-        if args.threads is not None:
-            cfg.threads = max(1, args.threads)
-        elif cfg.threads == 1:
-            cfg.threads = default_threads()
         if args.command == "kernel":
             return cmd_kernel(cfg)
         if args.command == "correlate":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -14,10 +14,39 @@ from .errors import ValidationError
 from .systems import BUILTIN_SYSTEMS, PolySystem, load_system
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
+def _read(cls, section: str, data):
+    """Dataclass ``cls`` built from the JSON object ``data``.
+
+    Keys and value types come from the fields of ``cls``: a ``float`` field
+    also takes an int, and only a ``bool`` field takes a bool.  A field whose
+    type is itself a dataclass is a nested section, read the same way (from
+    ``{}`` when absent).  Range checks live in each ``__post_init__``.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"{section} must be a JSON object, not {data!r}")
+    hints = typing.get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValidationError(f"unknown keys in {section}: {sorted(unknown)}")
+    kwargs = {}
+    for name, hint in types.items():
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = _read(hint, name, data.get(name, {}))
+        elif name in data:
+            value = data[name]
+            if not _accepts(hint, value):
+                raise ValidationError(f"{section}.{name} must be "
+                                      f"{getattr(hint, '__name__', hint)}, not {value!r}")
+            kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _accepts(hint, value) -> bool:
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
 @dataclass
@@ -29,20 +58,19 @@ class SystemConfig:
     beta1: float = 0.0
     mass: float = 1.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemConfig":
-        _check_keys("system", d, {"name", "file", "n_sites", "alpha1", "beta1", "mass"})
-        cfg = cls(**d)
-        if (cfg.name is None) == (cfg.file is None):
+    def __post_init__(self):
+        if (self.name is None) == (self.file is None):
             raise ValidationError("system needs exactly one of 'name' or 'file'")
-        if cfg.name is not None and cfg.name not in BUILTIN_SYSTEMS:
+        if self.name is not None and self.name not in BUILTIN_SYSTEMS:
             raise ValidationError(
-                f"unknown system {cfg.name!r}; choose from {sorted(BUILTIN_SYSTEMS)}")
-        return cfg
+                f"unknown system {self.name!r}; choose from {sorted(BUILTIN_SYSTEMS)}")
 
     def build(self) -> PolySystem:
         if self.file is not None:
-            return load_system(self.file)
+            try:
+                return load_system(self.file)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"cannot read system {self.file}: {exc!r}") from exc
         if self.name == "kraichnan_orszag":
             return BUILTIN_SYSTEMS[self.name]()
         kwargs = {"n_sites": self.n_sites, "alpha1": _rational(self.alpha1),
@@ -67,15 +95,11 @@ class ObservableConfig:
     var: int | None = None            # direct variable index (non-chain systems)
     power: int = 1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservableConfig":
-        _check_keys("observable", d, {"field", "site", "var", "power"})
-        cfg = cls(**d)
-        if cfg.power < 1:
+    def __post_init__(self):
+        if self.power < 1:
             raise ValidationError("observable power must be >= 1")
-        if cfg.var is None and cfg.field not in ("r", "p"):
+        if self.var is None and self.field not in ("r", "p"):
             raise ValidationError("observable field must be 'r' or 'p'")
-        return cfg
 
     def variable_index(self, system: PolySystem) -> int:
         if self.var is not None:
@@ -101,29 +125,19 @@ class KernelConfig:
     skew: bool = True
     term_cap: int = 10_000_000
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelConfig":
-        _check_keys("kernel", d,
-                    {"basis", "order", "delta", "c0", "c1", "skew", "term_cap"})
-        cfg = cls(**d)
-        if cfg.basis not in ("faber", "dyson"):
+    def __post_init__(self):
+        if self.basis not in ("faber", "dyson"):
             raise ValidationError("kernel basis must be 'faber' or 'dyson'")
-        if isinstance(cfg.delta, str) and cfg.delta != "consistency":
+        if isinstance(self.delta, str) and self.delta != "consistency":
             raise ValidationError("kernel delta must be a number, null or 'consistency'")
-        if cfg.order < 0:
+        if self.order < 0:
             raise ValidationError("kernel order must be >= 0")
-        return cfg
 
 
 @dataclass
 class GridConfig:
     horizon: float = 10.0
     dt: float = 1e-2
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        _check_keys("grid", d, {"horizon", "dt"})
-        return cls(**d)
 
 
 @dataclass
@@ -132,10 +146,9 @@ class MCConfig:
     seed: int = 0
     sim_dt: float = 1e-3
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MCConfig":
-        _check_keys("mc", d, {"n_samples", "seed", "sim_dt"})
-        return cls(**d)
+    def __post_init__(self):
+        if not self.sim_dt > 0:
+            raise ValidationError("mc sim_dt must be positive")
 
 
 @dataclass
@@ -147,16 +160,14 @@ class KLConfig:
     energy_floor: float = 1e-8
     export_xi: bool = False
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "KLConfig":
-        _check_keys("kl", d, {"kmax", "iters", "n_samples", "seed",
-                              "energy_floor", "export_xi"})
-        return cls(**d)
+    def __post_init__(self):
+        if self.kmax is not None and self.kmax < 1:
+            raise ValidationError("kl kmax must be >= 1 or null")
 
 
 @dataclass
 class ExperimentConfig:
-    system: SystemConfig = field(default_factory=SystemConfig)
+    system: SystemConfig              # required: a builtin name or a file
     observable: ObservableConfig = field(default_factory=ObservableConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     grid: GridConfig = field(default_factory=GridConfig)
@@ -164,36 +175,23 @@ class ExperimentConfig:
     kl: KLConfig = field(default_factory=KLConfig)
     gamma: float = 1.0                # inverse temperature of the Gibbs measure
     output_dir: str = "out"
-    threads: int = 1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys("config", d, {"system", "observable", "kernel", "grid",
-                                  "mc", "kl", "gamma", "output_dir", "threads"})
-        cfg = cls(
-            system=SystemConfig.from_dict(d.get("system", {})),
-            observable=ObservableConfig.from_dict(d.get("observable", {})),
-            kernel=KernelConfig.from_dict(d.get("kernel", {})),
-            grid=GridConfig.from_dict(d.get("grid", {})),
-            mc=MCConfig.from_dict(d.get("mc", {})),
-            kl=KLConfig.from_dict(d.get("kl", {})),
-            gamma=d.get("gamma", 1.0),
-            output_dir=d.get("output_dir", "out"),
-            threads=d.get("threads", default_threads()),
-        )
-        if cfg.gamma <= 0:
-            raise ValidationError("gamma must be positive")
-        if cfg.threads < 1:
-            raise ValidationError("threads must be >= 1")
-        return cfg
+    def __post_init__(self):
+        if not 0 < self.gamma < float("inf"):  # NaN fails too
+            raise ValidationError("gamma must be positive and finite")
 
     @classmethod
     def load(cls, path, overrides: list[str] | None = None) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"config {path} must hold a JSON object")
         for ov in overrides or []:
             data = _apply_override(data, ov)
-        return cls.from_dict(data)
+        return _read(cls, "config", data)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -203,16 +201,6 @@ class ExperimentConfig:
              "config": self.to_dict()}
         m.update(extra or {})
         return m
-
-
-def default_threads() -> int:
-    env = os.environ.get("GLEKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"GLEKIT_THREADS={env!r} is not an integer") from None
-    return 1
 
 
 def _apply_override(data: dict, override: str) -> dict:

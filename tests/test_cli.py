@@ -95,6 +95,34 @@ def test_correlate_from_kernel_file(tmp_path):
     assert np.max(np.abs(series.values - special.jv(0, 2 * t))) < 1e-4
 
 
+def _damped_pair_file(path: Path) -> Path:
+    # dx/dt = -x + y, dy/dt = -x: the dissipative -x makes L non-skew, so the
+    # kernel carries a streaming term Omega = <L x, x> / <x, x> = -1
+    path.write_text(json.dumps({"variables": ["x", "y"], "terms": [
+        {"target": 0, "rhs": [{"coeff": [-1, 1], "exps": {"0": 1}},
+                              {"coeff": [1, 1], "exps": {"1": 1}}]},
+        {"target": 1, "rhs": [{"coeff": [-1, 1], "exps": {"0": 1}}]}]}))
+    return path
+
+
+@pytest.mark.parametrize("system", ["harmonic_chain", "damped_pair"])
+def test_kernel_file_round_trip_matches_inline(tmp_path, system):
+    overrides = {}
+    if system == "damped_pair":
+        overrides = {"system": {"file": str(_damped_pair_file(tmp_path / "sys.json"))},
+                     "observable": {"var": 0},
+                     "kernel": {"basis": "faber", "order": 6, "skew": False}}
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "inline"),
+                       **overrides)
+    assert main(["correlate", str(cfg)]) == 0
+    assert main(["kernel", str(cfg), "--set", f"output_dir={tmp_path / 'k'}"]) == 0
+    assert main(["correlate", str(cfg), "--set", f"output_dir={tmp_path / 'file'}",
+                 "--kernel-file", str(tmp_path / "k" / "kernel.csv")]) == 0
+    inline, _ = read_series(tmp_path / "inline" / "correlation.csv", value_name="C")
+    from_file, _ = read_series(tmp_path / "file" / "correlation.csv", value_name="C")
+    assert np.array_equal(inline.values, from_file.values)
+
+
 def test_mc_command_and_compare(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(out))
@@ -205,6 +233,35 @@ def test_set_overrides_and_validation(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"system": {"name": "no_such_system"}}))
     assert main(["kernel", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    "grid=5", "kernel.order=abc", "grid.dt=abc", "gamma=abc", "system.n_sites=abc",
+    "mc.n_samples=abc", "kernel.order=1.5", "kernel.skew=1", "output_dir=3",
+    "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0"])
+def test_invalid_config_value_exit_code(tmp_path, capsys, override):
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    assert main(["kernel", str(cfg), "--set", override]) == 2
+    assert override.split("=")[0].split(".")[-1] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_or_system_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ("{not json", "[1, 2]"):
+        bad.write_text(text)
+        assert main(["kernel", str(bad)]) == 2
+    assert main(["kernel", str(tmp_path / "no_such.json")]) == 2
+    assert "no_such.json" in capsys.readouterr().err
+    sys_file = tmp_path / "sys.json"
+    for text in ("{not json", '{"variables": ["x"]}'):
+        sys_file.write_text(text)
+        cfg = write_config(tmp_path / "cfg.json", system={"file": str(sys_file)},
+                           observable={"var": 0})
+        assert main(["kernel", str(cfg)]) == 2
+    cfg = write_config(tmp_path / "cfg.json", system={"file": str(tmp_path / "no_sys.json")})
+    assert main(["kernel", str(cfg)]) == 2
+    assert "no_sys.json" in capsys.readouterr().err
 
 
 def test_resource_cap_exit_code(tmp_path):
