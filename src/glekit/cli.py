@@ -187,6 +187,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
 
     meta = cfg.manifest("kl", {
         "rank": basis.rank,
+        "sampled_rank": ens.basis.rank,
         "eigenvalues": [float(x) for x in basis.eigenvalues],
         "seed": cfg.kl.seed,
         "marginal_error": ens.marginal_error,
@@ -216,14 +217,15 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
                        "fdt_target": -float(obs.gram) * kernel(grid.times)}, meta)
     if cfg.kl.export_xi:
         write_columns(out / "xi.csv",
-                      {f"xi{k + 1}": ens.xi[:, k] for k in range(basis.rank)},
+                      {f"xi{k + 1}": ens.xi[:, k] for k in range(ens.basis.rank)},
                       meta)
     for m in (1, 2, 4):
         acf = higher_order_acf(ens, m)
         write_series(out / f"acf_m{m}.csv", acf, meta, value_name="acf")
     write_manifest(out / "manifest.json", meta)
-    print(f"kl: rank {basis.rank}, marginal err {ens.marginal_error:.3g}, "
-          f"acf err {ens.acf_error:.3g}, converged {ens.converged}")
+    print(f"kl: rank {basis.rank}, sampled rank {ens.basis.rank}, "
+          f"marginal err {ens.marginal_error:.3g}, acf err {ens.acf_error:.3g}, "
+          f"converged {ens.converged}")
     return 0
 
 

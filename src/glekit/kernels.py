@@ -6,6 +6,11 @@ of the orthogonal-dynamics propagator in either the monomial (Dyson) basis or
 a Faber polynomial basis.  The operator is never rescaled here: a scaling
 ``delta`` enters only through ``gamma_i -> delta**i gamma_i`` when the kernel
 coefficients are assembled, and physical-time evaluation maps ``t -> t/delta``.
+
+The Faber temporal modes g_q(t) = exp(c0 t) J_q(2 rho t) / rho**q of orders
+0..Q form one table (:func:`_mode_table`): ``jv`` gives the rows Q and Q - 1,
+and the downward Bessel recurrence every lower row.  Each row agrees with
+``jv`` to 1e-13 of its largest magnitude over the tabulated times.
 """
 
 from __future__ import annotations
@@ -178,19 +183,32 @@ def temporal_mode(basis, q: int, t):
     """Time weight of the q-th basis element of the propagator expansion.
 
     Dyson basis: t**q / q!.  Faber basis (``basis`` a :class:`FaberParams`
-    with c1 < 0): exp(t c0) * J_q(2 t sqrt(-c1)) / sqrt(-c1)**q.
+    with c1 < 0): exp(t c0) * J_q(2 t sqrt(-c1)) / sqrt(-c1)**q, the top row
+    of the order-q table of :func:`_mode_table`.  That row is a ``jv`` seed
+    of the downward recurrence; the rows below it, which kernels sum, agree
+    with ``jv`` to 1e-13 of each row's largest magnitude.  Where J_q(x)
+    underflows, t = 0 included, the row is ``jv`` itself, exactly 0 at t = 0
+    for q > 0 and 1 for q = 0.
     """
     if q < 0:
         raise ValidationError("q must be >= 0")
-    out = _mode_table(basis, [q], t)[0]
+    out = _mode_table(basis, q, t)[q]
     return float(out) if out.ndim == 0 else out
 
 
-def _mode_table(basis, qs, t) -> np.ndarray:
-    """Temporal modes g_q(t) for each q in ``qs``, shape ``(len(qs),) + shape(t)``.
+def _mode_table(basis, order: int, t) -> np.ndarray:
+    """Temporal modes g_0(t)..g_order(t), shape ``(order + 1,) + shape(t)``.
 
-    The Faber modes of all orders are one ``jv`` call; row by row they are
-    the same floating-point operations as a single mode.
+    Faber rows are exp(c0 t) J_q(x) / rho**q with x = 2 rho t and
+    rho = sqrt(-c1).  Only the seeds J_order(x) and J_{order-1}(x) call
+    ``jv`` (with order < 2 they are the whole table); every lower row comes
+    from the downward recurrence J_{q-1}(x) = (2q / x) J_q(x) - J_{q+1}(x)
+    (Abramowitz & Stegun 9.1.27), which is stable from exact seeds (Gautschi,
+    SIAM Rev. 9, 1967).  Each row agrees with ``jv`` to 1e-13 of its largest
+    magnitude over ``t``.  At tiny |x| the seed J_order(x) falls below the
+    smallest normal float, or to 0, and would zero every row below it; such
+    columns take all their rows from ``jv``.  t = 0 is one of them, so its
+    column is exactly delta_q0 and K(0) = M_0 / delta**2.
     """
     t = np.asarray(t, dtype=float)
     if isinstance(basis, FaberParams):
@@ -198,11 +216,21 @@ def _mode_table(basis, qs, t) -> np.ndarray:
         if c1 >= 0:
             raise ValidationError("Faber temporal modes require c1 < 0")
         rho = math.sqrt(-c1)
-        col = (len(qs),) + (1,) * t.ndim
-        scale = np.array([rho**q for q in qs]).reshape(col)
-        return np.exp(t * c0) * special.jv(np.reshape(qs, col), 2.0 * t * rho) / scale
+        tf = t.reshape(-1)
+        x = 2.0 * tf * rho
+        q = np.arange(order + 1)[:, None]
+        j = np.empty((order + 1, x.size))
+        j[-2:] = special.jv(q[-2:], x)
+        if order >= 2:
+            low = np.abs(j[-1]) < np.finfo(float).tiny
+            two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=~low)
+            for m in range(order - 1, 0, -1):
+                j[m - 1] = m * two_over_x * j[m] - j[m + 1]
+            j[:, low] = special.jv(q, x[low])
+        scale = np.array([rho**m for m in range(order + 1)])[:, None]
+        return (np.exp(tf * c0) * j / scale).reshape((order + 1,) + t.shape)
     if basis == "dyson":
-        return np.stack([t**q / math.factorial(q) for q in qs])
+        return np.stack([t**q / math.factorial(q) for q in range(order + 1)])
     raise ValidationError(f"unknown basis {basis!r}")
 
 
@@ -275,7 +303,7 @@ def _truncation_values(k: KernelExpansion, t) -> np.ndarray:
     """
     tau = np.asarray(t, dtype=float) / k.delta
     basis = k.faber if k.basis == "faber" else "dyson"
-    table = _mode_table(basis, range(k.order + 1), tau)
+    table = _mode_table(basis, k.order, tau)
     coeffs = np.asarray(k.coeffs, dtype=float).reshape((-1,) + (1,) * tau.ndim)
     return np.cumsum(table * coeffs, axis=0) / k.delta**2
 

@@ -205,12 +205,16 @@ def _field(state: ChainState, name: str) -> np.ndarray:
     return state.r if name == "r" else state.p
 
 
-def int_power(x: np.ndarray, m: int) -> np.ndarray:
-    """``x ** m`` for an integer m >= 1 in a new array, by squaring and multiplying.
+def int_power(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``x ** m`` for an integer m >= 1, by squaring and multiplying.
 
-    NumPy's float ``x ** m`` calls pow() for every m but 2, over ten times slower.
+    The result goes to ``out`` when given, else to a new array.  NumPy's
+    float ``x ** m`` calls pow() for every m but 2, over ten times slower.
     """
-    out = np.array(x, dtype=float)
+    if out is None:
+        out = np.array(x, dtype=float)
+    else:
+        out[...] = x
     for bit in bin(m)[3:]:
         np.square(out, out=out)
         if bit == "1":
@@ -262,11 +266,12 @@ def mc_autocorrelation(params: ChainParams, observable: Observable,
         curvature = params.alpha1 + 3 * params.beta1 * float(np.max(state.r**2))
         bound = DRIFT_FACTOR * 4 * curvature / params.mass * sim_dt**2
         verlet = _Verlet(state, params, sim_dt)
+        prod = np.empty_like(obs0)
         for i in range(1, n_out):
             state = verlet.advance(stride)
-            current = int_power(_field(state, observable.field), m)
-            prods[:, i] = (obs0 * current).mean(axis=-1) if site_average else \
-                (obs0 * current)[:, observable.site]
+            int_power(_field(state, observable.field), m, out=prod)
+            np.multiply(obs0, prod, out=prod)
+            prods[:, i] = prod.mean(axis=-1) if site_average else prod[:, observable.site]
         drift = float(np.max(np.abs(energy(state, params) - e0) / e0))
         if not drift <= bound:  # NaN-safe
             raise NumericError(f"Verlet relative energy drift {drift:.3g} exceeds "

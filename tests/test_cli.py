@@ -179,6 +179,23 @@ def test_kl_command_from_correlation_file(tmp_path):
     assert not (out / "noise_acf.csv").exists()
 
 
+# a rank-2 sample of a rank-5 basis cannot reach the marginal tolerance
+@pytest.mark.filterwarnings("ignore:marginal sampler did not converge")
+def test_kl_exports_the_sampled_amplitudes(tmp_path, capsys):
+    # the smoke-size FPU run keeps 2 of its 5 KL modes in the ensemble
+    config = Path(__file__).resolve().parents[1] / "configs" / "fpu_quartic.json"
+    out = tmp_path / "out"
+    code = main(["kl", str(config), *[arg for kv in (
+        "system.n_sites=8", "kernel.order=8", "grid.horizon=1.0", "kl.n_samples=2000",
+        "kl.export_xi=true", f"output_dir={out}") for arg in ("--set", kv)]])
+    assert code == 0
+    assert "kl: rank 5, sampled rank 2," in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["rank"], manifest["sampled_rank"]) == (5, 2)
+    cols, _ = read_columns(out / "xi.csv")
+    assert sorted(cols) == ["xi1", "xi2"] and len(cols["xi1"]) == 2000
+
+
 def test_missing_input_file_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     missing = str(tmp_path / "no_such.csv")

@@ -13,6 +13,7 @@ from glekit.kernels import (
     GammaSequence,
     MuSequence,
     ObservableSpec,
+    _mode_table,
     build_kernel,
     estimate_scaling,
     faber_polynomial_coeffs,
@@ -192,8 +193,8 @@ def test_temporal_modes():
         temporal_mode(FaberParams(c0=0.0, c1=0.25), 1, 1.0)
 
 
-# The per-mode formula and the term-by-term loop that kernel_eval ran before
-# the mode table, kept as references.
+# The per-mode formula, one jv call per order, and the term-by-term loop that
+# kernel_eval ran before the mode table, kept as references.
 
 def _reference_mode(basis, q, t):
     t = np.asarray(t, dtype=float)
@@ -203,12 +204,11 @@ def _reference_mode(basis, q, t):
     return t**q / math.factorial(q)
 
 
-def _reference_kernel_eval(k, t):
+def _reference_kernel_eval(k, t, mode):
     tau = np.asarray(t, dtype=float) / k.delta
-    basis = k.faber if k.basis == "faber" else "dyson"
     acc = np.zeros_like(tau)
     for q in range(k.order + 1):
-        acc = acc + _reference_mode(basis, q, tau) * k.coeffs[q]
+        acc = acc + mode(q, tau) * k.coeffs[q]
     out = acc / k.delta**2
     return float(out) if out.ndim == 0 else out
 
@@ -223,10 +223,18 @@ def test_kernel_eval_mode_table_matches_term_loop(basis, fp):
                      basis, fp)
     mode_basis = fp if basis == "faber" else "dyson"
     for t in (0.0, 1.3, np.linspace(0.0, 6.0, 301)):
-        new, ref = kernel_eval(k, t), _reference_kernel_eval(k, t)
+        tau = np.asarray(t, dtype=float) / k.delta
+        table = _mode_table(mode_basis, k.order, tau)
+        # blocking and the running sum add exactly as a loop over the table's rows
+        new = kernel_eval(k, t)
+        ref = _reference_kernel_eval(k, t, lambda q, _: table[q])
         assert type(new) is type(ref)
         assert np.array_equal(new, ref)
-        tau = np.asarray(t, dtype=float) / k.delta
+        # the recurrence's rows agree with per-order jv to 1e-13 of their sup
+        for q in range(k.order + 1):
+            exact = _reference_mode(mode_basis, q, tau)
+            assert np.max(np.abs(table[q] - exact)) <= 1e-13 * np.max(np.abs(exact))
+        # the top row is a jv seed
         for q in (0, 1, 7, k.order):
             assert np.array_equal(temporal_mode(mode_basis, q, tau),
                                   _reference_mode(mode_basis, q, tau))
@@ -489,9 +497,9 @@ def test_consistency_scan_solves_each_correlation_once(quartic_selection, monkey
 
 def test_consistency_scan_choice_on_benchmark_chain():
     """Quartic gamma = 40, n = 22 table, dt = 0.01 on [0, 4]: the choice of
-    the benchmark's quartic workloads, pinned with its rejections and the
-    chosen correlation's eigenvalue ratio, which sits within 15% of
-    -CLIP_TOL."""
+    the benchmark's quartic workloads, pinned with its rejections, its
+    eigensolves and the chosen correlation's eigenvalue ratio, which sits
+    within 15% of -CLIP_TOL."""
     system = fpu_chain(100, alpha1=1, beta1=1, mass=1)
     measure = gibbs_measure(system, 40.0)
     obs = ObservableSpec.from_measure(Polynomial.variable(50), measure)
@@ -501,6 +509,7 @@ def test_consistency_scan_choice_on_benchmark_chain():
     assert (kern.order, kern.delta) == (6, 0.35)
     assert diag.rejected == {"bound": 209, "not_psd": 47}
     assert len(diag.scores) == 8
+    assert diag.eigensolves == 8
     assert diag.psd_ratio == pytest.approx(-8.7455851053e-7, rel=1e-9)
     assert -CLIP_TOL < diag.psd_ratio < -0.85 * CLIP_TOL
 
