@@ -30,7 +30,6 @@ from .kernels import (
 from .klmodel import (
     CLIP_TOL,
     DensityMarginal,
-    build_fluctuation_process,
     higher_order_acf,
     kl_decompose,
     sample_ensemble,
@@ -195,6 +194,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         "acf_error": ens.acf_error,
         "converged": ens.converged,
         "iterations": ens.iterations,
+        "sweeps": ens.history,
         **explained,
     })
     mode_cols = {"t": grid.times}
@@ -209,11 +209,14 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         for k in range(basis.rank):
             hcols[f"h{k + 1}"] = hmat[:, k]
         write_columns(out / "hmodes.csv", hcols, meta)
-        # the sampled ensemble may retain a prefix of the basis modes
-        f_paths = build_fluctuation_process(ens.basis, hmat[:, :ens.basis.rank], ens)
-        # FDT closed loop: the noise ACF should follow -<u0, u0> K(t)
+        # FDT closed loop: the noise ACF should follow -<u0, u0> K(t).  The
+        # noise paths f = xi A H^T (A = diag sqrt(lambda); the sampled
+        # ensemble may retain a prefix of the basis modes) have the
+        # origin-0 ACF H A G A h(0) with G = xi^T xi / samples, K x K
+        ah = hmat[:, :ens.basis.rank] * np.sqrt(ens.basis.eigenvalues)
+        g = ens.xi.T @ ens.xi / ens.n_samples
         write_columns(out / "noise_acf.csv",
-                      {"t": grid.times, "acf": (f_paths[:, :1] * f_paths).mean(axis=0),
+                      {"t": grid.times, "acf": ah @ (g @ ah[0]),
                        "fdt_target": -float(obs.gram) * kernel(grid.times)}, meta)
     if cfg.kl.export_xi:
         write_columns(out / "xi.csv",

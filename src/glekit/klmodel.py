@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -27,6 +27,11 @@ ENERGY_FLOOR = 1e-8
 CLIP_TOL = 1e-6
 # relative margin of the Cholesky certificate over CLIP_TOL, see proves_not_psd
 CERT_MARGIN = 1e-6
+# doubles per block of scratch: the sampler's column blocks and the row
+# batches of the moment sums and of the FFT ACF are sized by it
+SCRATCH = 1 << 19
+# sample paths whose ACF the sampler compares against the target
+ACF_CHECK_ROWS = 20000
 
 
 @dataclass
@@ -206,7 +211,11 @@ class DensityMarginal:
 
 @dataclass
 class SampleEnsemble:
-    """KL amplitude samples plus the paths they reconstruct."""
+    """KL amplitude samples plus the paths they reconstruct.
+
+    ``history`` holds the marginal, tail-moment and ACF errors of each sweep,
+    the last of which are the reported errors.
+    """
 
     basis: KLBasis
     xi: np.ndarray                  # (samples, K)
@@ -217,28 +226,18 @@ class SampleEnsemble:
     acf_error: float
     converged: bool
     iterations: int
+    history: list[dict] = field(default_factory=list)
 
     @property
     def n_samples(self) -> int:
         return self.xi.shape[0]
 
 
-def _build_paths(basis: KLBasis, xi: np.ndarray) -> np.ndarray:
+def _build_paths(basis: KLBasis, xi: np.ndarray, out: np.ndarray) -> None:
+    """Write the paths mean + xi diag(sqrt(lambda)) modes^T into ``out``."""
     amp = np.sqrt(basis.eigenvalues)
-    return basis.mean + xi @ (amp[:, None] * basis.modes.T)
-
-
-def _project_xi(basis: KLBasis, paths: np.ndarray) -> np.ndarray:
-    w = basis.grid.trapezoid_weights()
-    amp = np.sqrt(basis.eigenvalues)
-    return (paths - basis.mean) @ (basis.modes * w[:, None]) / amp[None, :]
-
-
-def _marginal_error(paths: np.ndarray, marginal, probes: np.ndarray) -> float:
-    emp = np.quantile(paths.ravel(), probes)
-    target = marginal.quantile(probes)
-    scale = math.sqrt(marginal.variance)
-    return float(np.max(np.abs(emp - target)) / scale)
+    np.matmul(xi, amp[:, None] * basis.modes.T, out=out)
+    out += basis.mean
 
 
 def _even_power_sums(x2: np.ndarray) -> np.ndarray:
@@ -252,25 +251,26 @@ def _even_power_sums(x2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_error(paths: np.ndarray, qs: np.ndarray, batch: int = 2048) -> float:
+def _moment_error(paths: np.ndarray, qs: np.ndarray) -> float:
     """Largest relative mismatch of the even central moments 2, 4, 6 and 8.
 
     Pools the path values over all grid times and compares against the
     quantile target ``qs``, both centred on the target mean.  The 1%-99%
     quantile probes cannot see the tails, which dominate the high moments
-    and so the lag-0 values of higher-order ACFs.
+    and so the lag-0 values of higher-order ACFs.  The sums run over row
+    batches of about ``SCRATCH`` values.
     """
     centre = qs.mean()
     target = _even_power_sums(np.square(qs - centre)) / qs.size
     sums = np.zeros(4)
+    batch = max(1, SCRATCH // paths.shape[1])
     for lo in range(0, len(paths), batch):
         sums += _even_power_sums(np.square(paths[lo:lo + batch] - centre))
     return float(np.max(np.abs(sums / paths.size / target - 1.0)))
 
 
-def _ensemble_acf(paths: np.ndarray, max_rows: int = 20000) -> np.ndarray:
-    rows = paths[:max_rows]
-    acf, _ = _fft_acf(rows, 1)
+def _ensemble_acf(paths: np.ndarray) -> np.ndarray:
+    acf, _ = _fft_acf(paths[:ACF_CHECK_ROWS], 1)
     return acf
 
 
@@ -310,7 +310,14 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     the tails that carry the lag-0 values of higher-order ACFs.  Otherwise it
     finishes the ``iters`` sweeps and reports a warning status.  The returned
     ensemble carries the (possibly truncated, see ``mode_floor``) basis it
-    sampled.
+    sampled, and the errors of every sweep in ``history``.
+
+    Memory: one (samples, n_nodes) paths buffer serves every sweep, and
+    beyond it and the (samples, K) amplitudes a call holds a few blocks of
+    ``SCRATCH`` values.  The remap sorts and overwrites the buffer a block
+    of time columns at a time, and the projection reads the remapped buffer.
+    The pooled quantiles partition the buffer in place, after which the
+    paths are rebuilt from xi, one rank-K product.
     """
     if n_samples < 10 * basis.rank:
         raise ValidationError("need at least 10 samples per retained mode")
@@ -323,20 +330,33 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     qs = marginal.quantile((np.arange(s) + 0.5) / s)
     target_acf = basis.source_acf
     probes = np.linspace(0.01, 0.99, 99)
-    paths = _build_paths(basis, xi)
+    target_q = marginal.quantile(probes)
+    scale = math.sqrt(marginal.variance)
+    project = basis.modes * basis.grid.trapezoid_weights()[:, None]
+    amp = np.sqrt(basis.eigenvalues)
+    paths = np.empty((s, basis.grid.n_nodes))
+    _build_paths(basis, xi, paths)
+    cols = max(1, SCRATCH // s)
+    history = []
     for it in range(1, iters + 1):
-        order = np.argsort(paths, axis=0)
-        remapped = np.empty_like(paths)
-        np.put_along_axis(remapped, order, np.broadcast_to(qs[:, None], paths.shape),
-                          axis=0)
-        xi = _project_xi(basis, remapped)
+        for lo in range(0, paths.shape[1], cols):
+            block = paths[:, lo:lo + cols]
+            np.put_along_axis(block, np.argsort(block, axis=0),
+                              np.broadcast_to(qs[:, None], block.shape), axis=0)
+        if basis.mean:
+            paths -= basis.mean
+        xi = paths @ project / amp[None, :]
         xi -= xi.mean(axis=0)
         xi /= np.maximum(xi.std(axis=0), 1e-300)
-        paths = _build_paths(basis, xi)
-        marg_err = _marginal_error(paths, marginal, probes)
+        _build_paths(basis, xi, paths)
         mom_err = _moment_error(paths, qs)
         acf = _ensemble_acf(paths)
         acf_err = float(np.max(np.abs(acf - target_acf)) / target_acf[0])
+        emp = np.quantile(paths.reshape(-1), probes, overwrite_input=True)
+        marg_err = float(np.max(np.abs(emp - target_q)) / scale)
+        _build_paths(basis, xi, paths)
+        history.append({"marginal_error": marg_err, "moment_error": mom_err,
+                        "acf_error": acf_err})
         converged = (max(marg_err, mom_err) <= marginal_tol
                      and acf_err <= acf_tol)
         if converged:
@@ -350,19 +370,21 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     return SampleEnsemble(basis=basis, xi=xi, paths=paths,
                           seed=seed, marginal_error=marg_err,
                           moment_error=mom_err, acf_error=acf_err,
-                          converged=converged, iterations=it)
+                          converged=converged, iterations=it, history=history)
 
 
-def _fft_acf(rows: np.ndarray, m: int, batch: int = 2048):
+def _fft_acf(rows: np.ndarray, m: int):
     """Origin-averaged raw ACF of rows**m with mean/SE over rows.
 
     Per row the statistic is mean_i v(t_i) v(t_{i+lag}) with v = u**m; the
     returned standard error is the spread of the per-row statistics over
     sqrt(n_rows), which for this plain average coincides with the delete-one
-    jackknife.
+    jackknife.  The rows go through the FFT in batches of about ``SCRATCH``
+    transform values, so the scratch is a few such blocks at any row count.
     """
     s, n = rows.shape
     nfft = sp_fft.next_fast_len(2 * n)
+    batch = max(1, SCRATCH // nfft)
     counts = np.arange(n, 0, -1, dtype=float)
     total = np.zeros(n)
     total_sq = np.zeros(n)

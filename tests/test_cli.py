@@ -194,6 +194,18 @@ def test_kl_exports_the_sampled_amplitudes(tmp_path, capsys):
     assert (manifest["rank"], manifest["sampled_rank"]) == (5, 2)
     cols, _ = read_columns(out / "xi.csv")
     assert sorted(cols) == ["xi1", "xi2"] and len(cols["xi1"]) == 2000
+    sweeps = manifest["sweeps"]
+    assert len(sweeps) == manifest["iterations"]
+    assert sweeps[-1] == {key: manifest[key]
+                          for key in ("marginal_error", "moment_error", "acf_error")}
+    # the noise ACF from the amplitudes' Gram matrix is that of the noise paths
+    xi = np.column_stack([cols["xi1"], cols["xi2"]])
+    hcols, _ = read_columns(out / "hmodes.csv")
+    amp = np.sqrt(manifest["eigenvalues"][:2])
+    f = xi @ (amp[:, None] * np.vstack([hcols["h1"], hcols["h2"]]))
+    noise, _ = read_columns(out / "noise_acf.csv")
+    want = (f[:, :1] * f).mean(axis=0)
+    assert np.max(np.abs(noise["acf"] - want)) <= 1e-12 * abs(want[0])
 
 
 def test_missing_input_file_exit_code(tmp_path, capsys):

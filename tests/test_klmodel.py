@@ -1,6 +1,7 @@
 """KL decomposition, marginal-matched sampling, noise construction, GLE paths."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,25 +222,46 @@ def test_paths_reconstruct_from_xi(harmonic_basis):
     assert np.max(np.abs(rebuilt - ens.paths)) < 1e-12
 
 
+def _build_paths(basis, xi):
+    amp = np.sqrt(basis.eigenvalues)
+    return basis.mean + xi @ (amp[:, None] * basis.modes.T)
+
+
+def _project_xi(basis, paths):
+    w = basis.grid.trapezoid_weights()
+    amp = np.sqrt(basis.eigenvalues)
+    return (paths - basis.mean) @ (basis.modes * w[:, None]) / amp[None, :]
+
+
+def _marginal_error(paths, marginal, probes):
+    emp = np.quantile(paths.ravel(), probes)
+    target = marginal.quantile(probes)
+    scale = math.sqrt(marginal.variance)
+    return float(np.max(np.abs(emp - target)) / scale)
+
+
 def _sample_ensemble_reference(basis, marginal, n_samples, iters, seed,
                                marginal_tol, acf_tol):
-    """The sampler loop with its paths rebuilt at the start of every sweep."""
+    """The sampler loop with its paths rebuilt at the start of every sweep.
+
+    Every sweep allocates its paths, ranks and remapped copy afresh.
+    """
     basis = klmodel._sampling_truncation(basis, n_samples, None)
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_samples, basis.rank))
     qs = marginal.quantile((np.arange(n_samples) + 0.5) / n_samples)
     probes = np.linspace(0.01, 0.99, 99)
     for it in range(1, iters + 1):
-        paths = klmodel._build_paths(basis, xi)
+        paths = _build_paths(basis, xi)
         order = np.argsort(paths, axis=0)
         remapped = np.empty_like(paths)
         np.put_along_axis(remapped, order, np.broadcast_to(qs[:, None], paths.shape),
                           axis=0)
-        xi = klmodel._project_xi(basis, remapped)
+        xi = _project_xi(basis, remapped)
         xi -= xi.mean(axis=0)
         xi /= np.maximum(xi.std(axis=0), 1e-300)
-        paths = klmodel._build_paths(basis, xi)
-        marg_err = klmodel._marginal_error(paths, marginal, probes)
+        paths = _build_paths(basis, xi)
+        marg_err = _marginal_error(paths, marginal, probes)
         mom_err = klmodel._moment_error(paths, qs)
         acf = klmodel._ensemble_acf(paths)
         acf_err = float(np.max(np.abs(acf - basis.source_acf)) / basis.source_acf[0])
@@ -265,6 +287,68 @@ def test_sample_ensemble_matches_per_sweep_rebuild(marginal_tol, iters):
     np.testing.assert_array_equal(ens.paths, paths)
     assert (ens.marginal_error, ens.moment_error, ens.acf_error) == (marg_err, mom_err, acf_err)
     assert ens.iterations == it
+
+
+def _quartic_basis(dt, horizon):
+    density = QuarticGibbs(40.0, 1.0, 1.0)
+    grid = TimeGrid(dt=dt, horizon=horizon)
+    c = Series(grid, float(moment(density, 2)) * special.jv(0, 2 * grid.times))
+    return kl_decompose(c), DensityMarginal(density)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_memory_is_paths_plus_fixed_scratch():
+    # one paths buffer serves every sweep; the ranks, the moment sums, the
+    # FFT ACF and the pooled quantiles add only blocks of SCRATCH values
+    basis, marginal = _quartic_basis(0.025, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ens, peak = _traced_peak(sample_ensemble, basis, marginal, 20_000, iters=2,
+                                 seed=41, marginal_tol=0.0)
+    assert ens.paths.shape == (20_000, 401) and ens.iterations == 2
+    # the amplitudes and their standardization temporaries are (samples, K)
+    budget = 8 * klmodel.SCRATCH * 8 + 4 * ens.xi.nbytes
+    assert peak <= ens.paths.nbytes + budget, (peak, ens.paths.nbytes)
+
+
+def test_higher_order_acf_memory_does_not_grow_with_rows():
+    grid = TimeGrid(dt=0.025, horizon=10.0)
+    basis = KLBasis(grid, np.ones(1), np.ones((grid.n_nodes, 1)))
+    rng = np.random.default_rng(43)
+    peaks = []
+    for rows in (4_000, 20_000):
+        ens = klmodel.SampleEnsemble(basis, np.zeros((rows, 1)),
+                                     rng.standard_normal((rows, grid.n_nodes)),
+                                     None, 0.0, 0.0, 0.0, True, 1)
+        peaks.append(_traced_peak(higher_order_acf, ens, 4)[1])
+    assert peaks[1] <= peaks[0] + 64 * grid.n_nodes, peaks
+    assert peaks[1] <= 8 * klmodel.SCRATCH * 8, peaks
+
+
+def test_scratch_blocks_do_not_move_sampled_values(monkeypatch):
+    # one time column per remap block and one row per sum and FFT batch
+    basis, marginal = _quartic_basis(0.05, 4.0)
+    kwargs = dict(iters=3, seed=47, marginal_tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ens = sample_ensemble(basis, marginal, 3000, **kwargs)
+        acf = klmodel._fft_acf(ens.paths, 4)
+        monkeypatch.setattr(klmodel, "SCRATCH", 1)
+        small = sample_ensemble(basis, marginal, 3000, **kwargs)
+        small_acf = klmodel._fft_acf(ens.paths, 4)
+    np.testing.assert_array_equal(small.xi, ens.xi)
+    np.testing.assert_array_equal(small.paths, ens.paths)
+    assert small.marginal_error == ens.marginal_error
+    for got, want in zip(small_acf, acf):
+        assert np.max(np.abs(got - want)) <= 1e-13 * acf[0][0]
 
 
 def test_single_mode_marginal_remap():
