@@ -24,13 +24,19 @@ from scipy import special
 
 from .errors import ValidationError
 from .measures import ProductMeasure, moment, product_expectation
-from .poly import LiouvilleOperator, Polynomial, apply_liouville
+from .poly import LiouvilleOperator, Polynomial, _at_power, apply_liouville
 from .volterra import Series, _march
 
 DEFAULT_GAMMA_TERM_CAP = 10_000_000
 # kernel_eval builds its mode tables for this many times at once, so long
 # grids leave no large freed buffers behind in the allocator
 _EVAL_BLOCK = 256
+# the selectors reject a candidate whose correlation, or its partner's, leaves
+# [-SELECT_BOUND, SELECT_BOUND]; select_kernel_by_reference anchors its
+# candidates to the order-ANCHOR_ORDER Dyson kernel within ANCHOR_TOL |K(0)|
+SELECT_BOUND = 1.5
+ANCHOR_ORDER = 12
+ANCHOR_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,8 @@ def gamma_sequence(op: LiouvilleOperator, obs: ObservableSpec,
     measure: odd entries are exactly zero and the even ones are evaluated by
     pairing ``L^m u0`` against itself, gamma_{2m} = (-1)^m <(L^m u0)^2> / G,
     which halves the number of operator applications.  Skew-adjointness is
-    spot-checked through <L u0, u0> = 0.
+    spot-checked through <L u0, u0> = 0.  A :class:`TermBudgetError` names
+    the power that overflowed ``term_cap`` and the powers completed.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -120,7 +127,8 @@ def gamma_sequence(op: LiouvilleOperator, obs: ObservableSpec,
         op, u0 = op.as_float(), u0.as_float()
     gram = obs.gram
     values: list = [0] * n
-    w = apply_liouville(op, u0, term_cap=term_cap)
+    with _at_power(1, term_cap):
+        w = apply_liouville(op, u0, term_cap=term_cap)
     if skew:
         spot = product_expectation(w, u0, measure)
         if spot != 0 and not (isinstance(spot, float) and abs(spot) < 1e-12 * abs(float(gram))):
@@ -128,13 +136,15 @@ def gamma_sequence(op: LiouvilleOperator, obs: ObservableSpec,
                 "operator is not skew-adjoint under the measure: <L u0, u0> != 0")
         for m in range(1, n // 2 + 1):
             if m > 1:
-                w = apply_liouville(op, w, term_cap=term_cap)
+                with _at_power(m, term_cap):
+                    w = apply_liouville(op, w, term_cap=term_cap)
             val = product_expectation(w, w, measure)
             values[2 * m - 1] = (val if m % 2 == 0 else -val) / gram
         return GammaSequence(tuple(values), skew_adjoint=True)
     values[0] = product_expectation(w, u0, measure) / gram
     for i in range(2, n + 1):
-        w = apply_liouville(op, w, term_cap=term_cap)
+        with _at_power(i, term_cap):
+            w = apply_liouville(op, w, term_cap=term_cap)
         values[i - 1] = product_expectation(w, u0, measure) / gram
     return GammaSequence(tuple(values), skew_adjoint=False)
 
@@ -378,8 +388,8 @@ class SelectionDiagnostics:
     eigensolves: int = 0
 
 
-def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
-          lag: int, score, anchor=None):
+def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, lag: int, score,
+          anchor=None):
     """The (order, delta) scan of both selectors: ``(kernel, diagnostics)``.
 
     Per delta, one :func:`build_kernel` at the top order gives the
@@ -388,8 +398,8 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
     solves all correlations.  Candidate (n, delta) then runs its tests in
     turn: with ``anchor = (t_a, k_a, tol)`` its kernel must stay within
     ``tol * |k_a[0]|`` of ``k_a`` at the times ``t_a``; C_n and C_{n-lag}
-    must be finite and within ``bound``; C_n must pass the PSD test.  The
-    admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins.
+    must be finite and within ``SELECT_BOUND``; C_n must pass the PSD test.
+    The admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins.
 
     The PSD test has two steps on Nystrom matrices built from one layout of
     the grid.  A failed Cholesky factorization of the shifted matrix
@@ -436,7 +446,8 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
                 reason = "anchor"
             elif cn is None or lower is None:
                 reason = "solve"
-            elif np.max(np.abs(cn)) > bound or np.max(np.abs(lower)) > bound:
+            elif (np.max(np.abs(cn)) > SELECT_BOUND
+                  or np.max(np.abs(lower)) > SELECT_BOUND):
                 reason = "bound"
             elif proves_not_psd(c_n := Series(grid, cn), layout):
                 reason = "not_psd"
@@ -461,20 +472,19 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, bound: float,
 
 def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
                                  c0: float = 0.0, c1: float = -0.25,
-                                 obs: ObservableSpec | None = None,
-                                 bound: float = 1.5):
+                                 obs: ObservableSpec | None = None):
     """Pick (order, delta) by agreement of consecutive-order correlations.
 
     For generators with unbounded moment growth the kernel expansion is
     asymptotic: past an optimal order, extra terms hurt on a fixed horizon
     and no single scaling tames the tail.  This selector builds kernels at
     each candidate order n and ``delta``, integrates the correlation
-    equation, discards blown-up solutions (|C| > ``bound``) and kernels whose
-    correlation C_n is not positive semidefinite (the admissibility test of
-    :func:`glekit.klmodel.kl_decompose`, so the chosen correlation always
-    admits a KL representation), and returns the kernel minimizing
-    sup |C_n - C_{n-2}| over the horizon: a first-principles convergence
-    diagnostic that never references simulation data.
+    equation, discards blown-up solutions (|C| > ``SELECT_BOUND``) and
+    kernels whose correlation C_n is not positive semidefinite (the
+    admissibility test of :func:`glekit.klmodel.kl_decompose`, so the chosen
+    correlation always admits a KL representation), and returns the kernel
+    minimizing sup |C_n - C_{n-2}| over the horizon: a first-principles
+    convergence diagnostic that never references simulation data.
 
     The scan is batched (see :func:`_scan`): each C_n is solved once, as a
     candidate and as the partner of order n + 2.  The PSD test runs in two
@@ -491,7 +501,7 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
     orders = [n for n in orders if 2 < n <= n_max]
     if not orders:
         raise ValidationError("no admissible orders: need mu up to at least 7")
-    return _scan(mu, grid, orders, deltas, c0, c1, obs, bound, 2,
+    return _scan(mu, grid, orders, deltas, c0, c1, obs, 2,
                  lambda cn, lower: float(np.max(np.abs(cn - lower))))
 
 
@@ -515,20 +525,18 @@ def dyson_anchor_horizon(mu: MuSequence, order: int = 12, tol: float = 1e-3) -> 
 def select_kernel_by_reference(mu: MuSequence, grid, reference,
                                orders=None, deltas=None,
                                c0: float = 0.0, c1: float = -0.25,
-                               obs: ObservableSpec | None = None,
-                               anchor_order: int = 12,
-                               anchor_tol: float = 0.02,
-                               bound: float = 1.5):
+                               obs: ObservableSpec | None = None):
     """Pick the best-matching truncation against a reference correlation.
 
-    Candidates must reproduce the convergent short-time Dyson kernel to
-    ``anchor_tol`` (relative to |K(0)|) on the anchor horizon, which rejects
-    configurations that only fit the reference by accident; among the
-    faithful ones the sup distance between the solved correlation and the
-    normalized reference is minimized.  Candidates whose solved correlation
-    is not positive semidefinite (the admissibility test of
-    :func:`glekit.klmodel.kl_decompose`) are rejected as well, so the chosen
-    correlation always admits a KL representation.
+    Candidates must reproduce the convergent short-time Dyson kernel of order
+    ``ANCHOR_ORDER`` (capped at the table's) to ``ANCHOR_TOL`` (relative to
+    |K(0)|) on the anchor horizon, which rejects configurations that only
+    fit the reference by accident; among the faithful ones the sup distance
+    between the solved correlation and the normalized reference is
+    minimized.  Blown-up solutions (|C| > ``SELECT_BOUND``) and candidates
+    whose solved correlation is not positive semidefinite (the admissibility
+    test of :func:`glekit.klmodel.kl_decompose`) are rejected as well, so the
+    chosen correlation always admits a KL representation.
 
     The scan is batched (see :func:`_scan`), and its PSD test runs in two
     steps: a Cholesky certificate rejects clearly indefinite correlations,
@@ -546,14 +554,14 @@ def select_kernel_by_reference(mu: MuSequence, grid, reference,
     if deltas is None:
         deltas = [round(0.1 + 0.0125 * i, 4) for i in range(73)]
     orders = [n for n in orders if 0 < n <= n_max]
-    anchor_order = min(anchor_order, n_max)
+    anchor_order = min(ANCHOR_ORDER, n_max)
     t_a = min(dyson_anchor_horizon(mu, anchor_order), grid.horizon / 2)
     ta_grid = np.linspace(0.0, t_a, 101)
     kd = build_kernel(MuSequence(mu.values[:anchor_order + 2]), "dyson",
                       FaberParams(delta=1.0))
-    return _scan(mu, grid, orders, deltas, c0, c1, obs, bound, 0,
+    return _scan(mu, grid, orders, deltas, c0, c1, obs, 0,
                  lambda cn, _: float(np.max(np.abs(cn - ref))),
-                 (ta_grid, kd(ta_grid), anchor_tol))
+                 (ta_grid, kd(ta_grid), ANCHOR_TOL))
 
 
 def estimate_scaling(gamma: GammaSequence) -> FaberParams:

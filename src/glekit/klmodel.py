@@ -21,7 +21,7 @@ from scipy import special
 from .errors import NumericError, ValidationError
 from .measures import Density1D, moment
 from .simulate import int_power
-from .volterra import Series, TimeGrid, _derivative_4, _march, _sample_kernel
+from .volterra import Series, TimeGrid, _march, _sample_kernel
 
 ENERGY_FLOOR = 1e-8
 CLIP_TOL = 1e-6
@@ -41,7 +41,6 @@ class KLBasis:
     grid: TimeGrid
     eigenvalues: np.ndarray          # descending, > 0
     modes: np.ndarray                # (n_nodes, K)
-    mean: float = 0.0
     source_acf: np.ndarray | None = None
     trace_discrete: float = 0.0      # sum of all nonnegative discrete eigenvalues
 
@@ -87,12 +86,12 @@ def _eigen_ratio(lam: np.ndarray) -> float:
     return float(lam[0] / lam[-1]) if lam[-1] > 0 else -math.inf
 
 
-def admissible(ratio: float, clip_tol: float = CLIP_TOL) -> bool:
-    """The covariance test of KL: lambda_min / lambda_max at least -clip_tol.
+def admissible(ratio: float) -> bool:
+    """The covariance test of KL: lambda_min / lambda_max at least -CLIP_TOL.
 
     :func:`kl_decompose` and the selection scans both decide with it.
     """
-    return ratio >= -clip_tol
+    return ratio >= -CLIP_TOL
 
 
 def psd_ratio(c: Series, layout: NystromLayout | None = None) -> float:
@@ -136,15 +135,14 @@ def proves_not_psd(c: Series, layout: NystromLayout) -> bool:
 
 
 def kl_decompose(c: Series, kmax: int | None = None,
-                 energy_floor: float = ENERGY_FLOOR,
-                 clip_tol: float = CLIP_TOL) -> KLBasis:
+                 energy_floor: float = ENERGY_FLOOR) -> KLBasis:
     """Nystrom KL decomposition of a stationary auto-correlation series.
 
     Builds the kernel matrix C(|t_i - t_j|), symmetrizes with square-root
     trapezoid weights, solves the dense eigenproblem and rescales the
     eigenvectors to continuous L2 orthonormality.  Modes below the relative
     energy floor (or beyond ``kmax``) are dropped.  Negative eigenvalues up
-    to ``clip_tol`` of the leading one (roundoff, or mild model error in an
+    to ``CLIP_TOL`` of the leading one (roundoff, or mild model error in an
     approximate correlation) are clipped at zero; anything worse is rejected
     as an invalid covariance.
     """
@@ -157,7 +155,7 @@ def kl_decompose(c: Series, kmax: int | None = None,
     lam, y = np.linalg.eigh(layout.matrix(vals))
     if lam[-1] <= 0:
         raise ValidationError("covariance kernel is not positive")
-    if not admissible(_eigen_ratio(lam), clip_tol):
+    if not admissible(_eigen_ratio(lam)):
         raise ValidationError(
             "input is not positive semidefinite beyond the clip tolerance")
     lam, y = lam[::-1], y[:, ::-1]
@@ -234,10 +232,9 @@ class SampleEnsemble:
 
 
 def _build_paths(basis: KLBasis, xi: np.ndarray, out: np.ndarray) -> None:
-    """Write the paths mean + xi diag(sqrt(lambda)) modes^T into ``out``."""
+    """Write the paths xi diag(sqrt(lambda)) modes^T into ``out``."""
     amp = np.sqrt(basis.eigenvalues)
     np.matmul(xi, amp[:, None] * basis.modes.T, out=out)
-    out += basis.mean
 
 
 def _even_power_sums(x2: np.ndarray) -> np.ndarray:
@@ -274,29 +271,27 @@ def _ensemble_acf(paths: np.ndarray) -> np.ndarray:
     return acf
 
 
-def _sampling_truncation(basis: KLBasis, n_samples: int,
-                         mode_floor: float | None) -> KLBasis:
+def _sampling_truncation(basis: KLBasis, n_samples: int) -> KLBasis:
     """Drop modes too weak to be identified through the rank remap.
 
     Re-projecting the remapped paths divides by sqrt(lambda_k), so modes with
     energy below the remap perturbation (which scales like 1/n_samples of the
-    total) pick up large spurious amplitudes instead of signal.
+    total) pick up large spurious amplitudes instead of signal: the sampler
+    keeps the modes with lambda_k >= 10 lambda_0 / n_samples.
     """
     lam = basis.eigenvalues
-    floor = (10.0 / n_samples) if mode_floor is None else mode_floor
-    keep = lam >= floor * lam[0]
+    keep = lam >= (10.0 / n_samples) * lam[0]
     if np.all(keep):
         return basis
     return KLBasis(grid=basis.grid, eigenvalues=lam[keep],
-                   modes=basis.modes[:, keep], mean=basis.mean,
+                   modes=basis.modes[:, keep],
                    source_acf=basis.source_acf,
                    trace_discrete=basis.trace_discrete)
 
 
 def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
                     seed=None, marginal_tol: float = 0.01,
-                    acf_tol: float = 0.05,
-                    mode_floor: float | None = None) -> SampleEnsemble:
+                    acf_tol: float = 0.05) -> SampleEnsemble:
     """Draw KL amplitude samples consistent with a target one-time marginal.
 
     Iterates: build paths from xi; rank-remap the values at every grid time
@@ -309,8 +304,9 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     error below ``acf_tol``.  The tail check matters because the probes miss
     the tails that carry the lag-0 values of higher-order ACFs.  Otherwise it
     finishes the ``iters`` sweeps and reports a warning status.  The returned
-    ensemble carries the (possibly truncated, see ``mode_floor``) basis it
-    sampled, and the errors of every sweep in ``history``.
+    ensemble carries the basis it sampled, truncated to the modes the remap
+    can identify (see :func:`_sampling_truncation`), and the errors of every
+    sweep in ``history``.
 
     Memory: one (samples, n_nodes) paths buffer serves every sweep, and
     beyond it and the (samples, K) amplitudes a call holds a few blocks of
@@ -323,7 +319,7 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
         raise ValidationError("need at least 10 samples per retained mode")
     if iters < 1:
         raise ValidationError("need at least one sampler sweep")
-    basis = _sampling_truncation(basis, n_samples, mode_floor)
+    basis = _sampling_truncation(basis, n_samples)
     rng = np.random.default_rng(seed)
     s = n_samples
     xi = rng.standard_normal((s, basis.rank))
@@ -343,8 +339,6 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
             block = paths[:, lo:lo + cols]
             np.put_along_axis(block, np.argsort(block, axis=0),
                               np.broadcast_to(qs[:, None], block.shape), axis=0)
-        if basis.mean:
-            paths -= basis.mean
         xi = paths @ project / amp[None, :]
         xi -= xi.mean(axis=0)
         xi /= np.maximum(xi.std(axis=0), 1e-300)
@@ -407,9 +401,9 @@ def higher_order_acf(ens: SampleEnsemble, m: int) -> Series:
     return Series(ens.basis.grid, mean, se=se)
 
 
-def build_fluctuation_process(basis: KLBasis, h_modes, ens: SampleEnsemble,
-                              f_mean: float = 0.0) -> np.ndarray:
-    """Per-sample noise paths f(t) = f_mean + sum_k sqrt(l_k) xi_k h_k(t).
+def build_fluctuation_process(basis: KLBasis, h_modes,
+                              ens: SampleEnsemble) -> np.ndarray:
+    """Per-sample noise paths f(t) = sum_k sqrt(l_k) xi_k h_k(t).
 
     Reuses the ensemble's own amplitudes, so each noise path corresponds to
     its observable path realization by realization.
@@ -425,7 +419,7 @@ def build_fluctuation_process(basis: KLBasis, h_modes, ens: SampleEnsemble,
     if h.shape[0] != basis.grid.n_nodes:
         raise ValidationError("fluctuation modes live on a different grid")
     amp = np.sqrt(basis.eigenvalues)
-    return f_mean + ens.xi @ (amp[:, None] * h.T)
+    return ens.xi @ (amp[:, None] * h.T)
 
 
 def gle_sample_paths(omega: float, kernel, f_paths: np.ndarray,
@@ -448,26 +442,3 @@ def gle_sample_paths(omega: float, kernel, f_paths: np.ndarray,
         raise NumericError("Volterra march produced non-finite values")
     return u
 
-
-def compute_v_matrix(basis: KLBasis, gram: float = 1.0) -> np.ndarray:
-    """Mode-coupling matrix without phase-space access.
-
-    v_ij = <xi_i, (d/dt) xi_j> / gram evaluated through the dispersion
-    relation: v_ij = (l_i l_j)^(-1/2) gram^(-1)
-    iint dC(t-s)/dt e_i(s) e_j(t) ds dt with the signed derivative of the
-    even extension of C.
-    """
-    if basis.source_acf is None:
-        raise ValidationError("basis does not carry its source ACF")
-    grid = basis.grid
-    n = grid.n_nodes
-    dt = grid.dt
-    cdot = _derivative_4(basis.source_acf, dt)
-    ti = np.arange(n)
-    diff = ti[:, None] - ti[None, :]          # t index minus s index
-    w_signed = np.sign(diff) * cdot[np.abs(diff)]
-    w = grid.trapezoid_weights()
-    ew = basis.modes * w[:, None]
-    inner = ew.T @ w_signed.T @ ew            # rows: e_i(s), cols: e_j(t)
-    lam = basis.eigenvalues
-    return inner / np.sqrt(np.outer(lam, lam)) / gram

@@ -14,6 +14,7 @@ like-term merging, which keeps every polynomial in canonical merged form.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -293,6 +294,21 @@ def apply_liouville(op: LiouvilleOperator, poly: Polynomial,
     return Polynomial._raw(out)
 
 
+@contextmanager
+def _at_power(power: int, cap: int):
+    """Name the Liouville power a term-budget overflow inside happened at.
+
+    Every loop over powers applies the operator for ``power`` inside it, so
+    a :class:`TermBudgetError` reports ``power - 1`` completed powers.
+    """
+    try:
+        yield
+    except TermBudgetError as exc:
+        raise TermBudgetError(
+            f"term budget {cap} exceeded at power {power} "
+            f"(completed {power - 1})", power_reached=power - 1) from exc
+
+
 def liouville_powers(op: LiouvilleOperator, u0: Polynomial, n: int,
                      term_cap: int | None = None) -> list[Polynomial]:
     """Return ``[u0, L u0, ..., L^n u0]`` in canonical form."""
@@ -301,10 +317,6 @@ def liouville_powers(op: LiouvilleOperator, u0: Polynomial, n: int,
     cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
     seq = [u0]
     for i in range(1, n + 1):
-        try:
+        with _at_power(i, cap):
             seq.append(apply_liouville(op, seq[-1], term_cap=cap))
-        except TermBudgetError as exc:
-            raise TermBudgetError(
-                f"term budget {cap} exceeded at power {i} "
-                f"(completed {i - 1})", power_reached=i - 1) from exc
     return seq

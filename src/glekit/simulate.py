@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .poly import LiouvilleOperator
 from .volterra import Series, TimeGrid
 
 
@@ -289,35 +288,3 @@ def mc_autocorrelation(params: ChainParams, observable: Observable,
     se = prods.std(axis=0, ddof=1) / math.sqrt(n_samples)
     return Series(grid, mean, se=se)
 
-
-def integrate_poly_ode(op: LiouvilleOperator, x0, grid: TimeGrid,
-                       blowup: float = 1e12) -> np.ndarray:
-    """Classic RK4 on dx/dt = F(x) with polynomial right-hand sides.
-
-    Returns the trajectory on the grid, shape (n_nodes, dimension).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (op.dimension,):
-        raise ValidationError("initial state does not match the system dimension")
-    rhs_polys = dict(op.terms)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for k, p in rhs_polys.items():
-            out[k] = p.evaluate(x)
-        return out
-
-    dt = grid.dt
-    traj = np.empty((grid.n_nodes, op.dimension))
-    traj[0] = x0
-    x = x0.copy()
-    for i in range(grid.n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > blowup:
-            raise NumericError(f"trajectory blow-up at step {i + 1}")
-        traj[i + 1] = x
-    return traj

@@ -4,11 +4,10 @@ All convolutions use trapezoidal product integration on uniform grids, so the
 whole module is second-order in dt.  One predictor-corrector marcher,
 :func:`_march`, solves the correlation equation, the GLE sample paths of
 :mod:`glekit.klmodel` and, in one batch, all correlations of a selection
-scan in :mod:`glekit.kernels`.  Two solvers keep their own loops on purpose,
-since each solves for what the marcher takes as given: kernel deconvolution
-(a forward substitution for K with pivot dt*C(0)/2) and the coupled
-fluctuation modes (a K x K endpoint system per step, as the kernel depends
-on them).
+scan in :mod:`glekit.kernels`.  One solver keeps its own loop on purpose,
+since it solves for what the marcher takes as given: kernel deconvolution
+(a forward substitution for K with pivot dt*C(0)/2).  The fluctuation modes
+of a known kernel need no march at all: one FFT convolution gives them.
 """
 
 from __future__ import annotations
@@ -179,48 +178,28 @@ def extract_kernel(c: Series, omega: float) -> Series:
 
 @dataclass(frozen=True)
 class GeneralMode:
-    """Known-kernel mode; with only a coupling matrix v the solve is coupled.
+    """Known-kernel fluctuation modes; ``kernel`` is a callable, array or Series."""
 
-    ``kernel`` may be a callable, array or :class:`Series`; when given, each
-    fluctuation mode decouples and is computed independently.  Otherwise the
-    kernel is reconstructed on the fly as
-    K(t) = sum_ij sqrt(l_i l_j) v_ij e_i(0) h_j(t).
-    """
-
-    kernel: object | None = None
-    v: np.ndarray | None = None
+    kernel: object = None
 
     def __post_init__(self):
-        if self.kernel is None and self.v is None:
-            raise ValidationError("GeneralMode needs a kernel or a v matrix")
+        if self.kernel is None:
+            raise ValidationError("GeneralMode needs a kernel")
 
 
-@dataclass(frozen=True)
-class HamiltonianMode:
-    """Self-consistent mode: kernel tied to the modes by the equilibrium FDT.
-
-    K(t) = -sum_j lambda_j h_j(0) h_j(t) / gram; the minus sign follows from
-    K(0) = gamma_2 < 0 while sum_j lambda_j h_j(0)^2 >= 0.
-    """
-
-    gram: float = 1.0
-
-
-def solve_fluctuation_modes(modes, lambdas, omega: float, mode,
+def solve_fluctuation_modes(modes, lambdas, omega: float, mode: GeneralMode,
                             grid: TimeGrid) -> list[Series]:
     """Solve h_k(t) = e_k'(t) - Omega e_k(t) - int_0^t K(t-s) e_k(s) ds.
 
-    ``modes`` are the orthonormal temporal modes e_k (list of Series or an
-    (n_nodes, K) array).  At t=0 the convolution vanishes, so
-    h_k(0) = e_k'(0) - Omega e_k(0) exactly.  The trapezoidal endpoint weight
-    puts the current-node unknowns into a small linear system whenever the
-    kernel itself depends on them (Hamiltonian and v-matrix modes).
+    ``modes`` are the orthonormal temporal modes e_k, an (n_nodes, K) array,
+    with one positive eigenvalue each in ``lambdas``; ``mode`` carries the
+    known kernel K.  The modes decouple: the trapezoidal convolution of each
+    is the full discrete convolution, by FFT, less half its end terms.  At
+    t=0 the convolution vanishes, so h_k(0) = e_k'(0) - Omega e_k(0) exactly.
     """
-    if isinstance(modes, (list, tuple)):
-        e = np.column_stack([m.values if isinstance(m, Series) else np.asarray(m)
-                             for m in modes])
-    else:
-        e = np.asarray(modes, dtype=float)
+    if not isinstance(mode, GeneralMode):
+        raise ValidationError(f"unknown fluctuation mode {mode!r}")
+    e = np.asarray(modes, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
     nn = grid.n_nodes
     if e.shape[0] != nn:
@@ -232,44 +211,8 @@ def solve_fluctuation_modes(modes, lambdas, omega: float, mode,
         raise ValidationError("retain only modes with positive eigenvalues")
     dt = grid.dt
     de = np.column_stack([_derivative_4(e[:, j], dt) for j in range(nk)])
-    rhs0 = de - omega * e  # e_k' - Omega e_k at every node
-
-    if isinstance(mode, GeneralMode) and mode.kernel is not None:
-        # trapezoid rule: the full discrete convolution less half its end terms
-        k = _sample_kernel(mode.kernel, grid)
-        full = np.fft.irfft(np.fft.rfft(k, 2 * nn)[:, None] * np.fft.rfft(e, 2 * nn, axis=0),
-                            2 * nn, axis=0)[:nn]
-        h = rhs0 - dt * (full - 0.5 * (np.outer(k, e[0]) + k[0] * e))
-        return [Series(grid, h[:, j]) for j in range(nk)]
-
-    # Coupled modes: K(t) = sum_j w_j h_j(t) with w fixed by h(0).
-    h = np.empty_like(e)
-    h[0] = rhs0[0]
-    if isinstance(mode, HamiltonianMode):
-        w = -lam * h[0] / float(mode.gram)
-    elif isinstance(mode, GeneralMode):
-        v = np.asarray(mode.v, dtype=float)
-        if v.shape != (nk, nk):
-            raise ValidationError("v matrix shape must be (K, K)")
-        sqrt_lam = np.sqrt(lam)
-        w = (sqrt_lam * e[0]) @ v * sqrt_lam  # w_j = sum_i sqrt(l_i l_j) v_ij e_i(0)
-    else:
-        raise ValidationError(f"unknown fluctuation mode {mode!r}")
-
-    kvals = np.empty(nn)
-    kvals[0] = float(w @ h[0])
-    e0 = e[0]
-    a = np.eye(nk) + 0.5 * dt * np.outer(e0, w)
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise ConditioningError("near-singular endpoint system", node=1)
-    a_inv = np.linalg.inv(a)
-    for i in range(1, nn):
-        conv = 0.5 * kvals[0] * e[i]
-        if i > 1:
-            conv += kvals[i - 1:0:-1] @ e[1:i]
-        b = rhs0[i] - dt * conv
-        h[i] = a_inv @ b
-        kvals[i] = float(w @ h[i])
-        if not np.all(np.isfinite(h[i])):
-            raise ConditioningError("fluctuation-mode solve diverged", node=i)
+    k = _sample_kernel(mode.kernel, grid)
+    full = np.fft.irfft(np.fft.rfft(k, 2 * nn)[:, None] * np.fft.rfft(e, 2 * nn, axis=0),
+                        2 * nn, axis=0)[:nn]
+    h = de - omega * e - dt * (full - 0.5 * (np.outer(k, e[0]) + k[0] * e))
     return [Series(grid, h[:, j]) for j in range(nk)]

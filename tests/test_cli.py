@@ -293,12 +293,14 @@ def test_unreadable_config_or_system_exit_code(tmp_path, capsys):
     assert "no_sys.json" in capsys.readouterr().err
 
 
-def test_resource_cap_exit_code(tmp_path):
+def test_resource_cap_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
                        system={"name": "fpu_chain", "n_sites": 16, "beta1": 1.0},
                        observable={"field": "r", "site": 8, "power": 1},
                        kernel={"basis": "faber", "order": 20, "term_cap": 200})
     assert main(["kernel", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: term budget 200 exceeded at power ")
 
 
 def test_ko_system_kernel(tmp_path):

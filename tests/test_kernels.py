@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from glekit.errors import ValidationError
+from glekit.errors import TermBudgetError, ValidationError
 from glekit.kernels import (
     FaberParams,
     GammaSequence,
@@ -122,6 +122,18 @@ def test_gamma_skew_spot_check_rejects_non_skew():
     obs = ObservableSpec.from_measure(Polynomial.variable(0), mu)
     with pytest.raises(ValidationError):
         gamma_sequence(op, obs, mu, 2, skew=True)
+
+
+@pytest.mark.parametrize("skew", [True, False])
+def test_gamma_term_budget_reports_power(skew):
+    sys = fpu_chain(16, beta1=1)
+    mu = gibbs_measure(sys, 1)
+    obs = ObservableSpec.from_measure(Polynomial.variable(8), mu)
+    with pytest.raises(TermBudgetError) as err:
+        gamma_sequence(sys.operator, obs, mu, 22, skew=skew, term_cap=200)
+    completed = err.value.power_reached
+    assert completed > 0
+    assert f"at power {completed + 1} (completed {completed})" in str(err.value)
 
 
 def test_mu_recursion_harmonic():

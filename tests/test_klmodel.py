@@ -19,7 +19,6 @@ from glekit.klmodel import (
     KLBasis,
     NystromLayout,
     build_fluctuation_process,
-    compute_v_matrix,
     gle_sample_paths,
     higher_order_acf,
     kl_decompose,
@@ -30,10 +29,8 @@ from glekit.klmodel import (
 from glekit.measures import QuarticGibbs, moment
 from glekit.volterra import (
     GeneralMode,
-    HamiltonianMode,
     Series,
     TimeGrid,
-    solve_correlation,
     solve_fluctuation_modes,
 )
 
@@ -205,9 +202,11 @@ def test_gaussian_marginal_is_fixed_point(harmonic_basis):
 
 def test_xi_whitening(harmonic_basis):
     # modes below the rank-remap identifiability floor pick up correlated
-    # remap noise, so the whitening statement applies to the floored ensemble
-    ens = sample_ensemble(harmonic_basis, GaussianMarginal(0.0, 1.0), 30_000,
-                          seed=3, mode_floor=5e-3)
+    # remap noise, so the whitening statement applies to a basis cut at
+    # 5e-3 of the leading eigenvalue
+    grid = harmonic_basis.grid
+    basis = kl_decompose(Series(grid, harmonic_basis.source_acf), energy_floor=5e-3)
+    ens = sample_ensemble(basis, GaussianMarginal(0.0, 1.0), 30_000, seed=3)
     s = ens.n_samples
     corr = ens.xi.T @ ens.xi / s
     off = corr - np.diag(np.diag(corr))
@@ -224,13 +223,13 @@ def test_paths_reconstruct_from_xi(harmonic_basis):
 
 def _build_paths(basis, xi):
     amp = np.sqrt(basis.eigenvalues)
-    return basis.mean + xi @ (amp[:, None] * basis.modes.T)
+    return xi @ (amp[:, None] * basis.modes.T)
 
 
 def _project_xi(basis, paths):
     w = basis.grid.trapezoid_weights()
     amp = np.sqrt(basis.eigenvalues)
-    return (paths - basis.mean) @ (basis.modes * w[:, None]) / amp[None, :]
+    return paths @ (basis.modes * w[:, None]) / amp[None, :]
 
 
 def _marginal_error(paths, marginal, probes):
@@ -246,7 +245,7 @@ def _sample_ensemble_reference(basis, marginal, n_samples, iters, seed,
 
     Every sweep allocates its paths, ranks and remapped copy afresh.
     """
-    basis = klmodel._sampling_truncation(basis, n_samples, None)
+    basis = klmodel._sampling_truncation(basis, n_samples)
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_samples, basis.rank))
     qs = marginal.quantile((np.arange(n_samples) + 0.5) / n_samples)
@@ -446,9 +445,10 @@ def test_zero_mode_basis_gives_constant_noise(harmonic_basis):
     ens = sample_ensemble(basis, GaussianMarginal(0.0, 1.0), 1000, seed=23)
     class _Shim:
         xi = ens.xi[:, :0]
-    f = build_fluctuation_process(empty, np.zeros((basis.grid.n_nodes, 0)), _Shim(),
-                                  f_mean=1.25)
-    assert np.all(f == 1.25)
+    # no modes, no noise: f is identically zero on every path
+    f = build_fluctuation_process(empty, np.zeros((basis.grid.n_nodes, 0)), _Shim())
+    assert f.shape == (1000, basis.grid.n_nodes)
+    assert np.all(f == 0.0)
 
 
 def test_fluctuation_acf_matches_fdt_kernel(harmonic_basis):
@@ -476,23 +476,6 @@ def test_kernel_reconstruction_from_modes(harmonic_basis):
     hmat = np.column_stack([s.values for s in h])
     rec = -(hmat * basis.eigenvalues * hmat[0]).sum(axis=1) / basis.source_acf[0]
     assert np.max(np.abs(rec - bessel_kernel(grid.times))) < 5e-3
-
-
-def test_hamiltonian_mode_self_consistency(harmonic_basis):
-    # h solved self-consistently; the implied kernel regenerates C
-    basis = harmonic_basis
-    grid = basis.grid
-    h = solve_fluctuation_modes(basis.modes, basis.eigenvalues, 0.0,
-                                HamiltonianMode(gram=basis.source_acf[0]), grid)
-    hmat = np.column_stack([s.values for s in h])
-    k_tilde = -(hmat * basis.eigenvalues * hmat[0]).sum(axis=1) / basis.source_acf[0]
-    c2 = solve_correlation(0.0, Series(grid, k_tilde), grid)
-    assert np.max(np.abs(c2.values - basis.source_acf)) < 5e-3
-
-
-def test_v_matrix_antisymmetric(harmonic_basis):
-    v = compute_v_matrix(harmonic_basis, gram=harmonic_basis.source_acf[0])
-    assert np.max(np.abs(v + v.T)) < 1e-6 * max(1.0, np.max(np.abs(v)))
 
 
 def test_gle_paths_decay_without_noise():

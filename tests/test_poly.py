@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from glekit.errors import DimensionMismatchError, TermBudgetError
 from glekit.poly import LiouvilleOperator, Polynomial, apply_liouville, liouville_powers
-from glekit.systems import fpu_chain, kraichnan_orszag
+from glekit.systems import fpu_chain, harmonic_chain, kraichnan_orszag
 
 KO = kraichnan_orszag().operator
 
@@ -73,6 +73,29 @@ def test_constant_and_zero_annihilated():
     assert seq[0] == 1 and seq[1].is_zero() and seq[2].is_zero()
 
 
+def _chain_energy(sys):
+    """H = sum_j p_j^2 / 2m + alpha1 r_j^2 / 2 + beta1 r_j^4 / 4, in Fractions."""
+    n = sys.params["n_sites"]
+    a1, b1, m = (Fraction(sys.params[k]) for k in ("alpha1", "beta1", "mass"))
+    return Polynomial([term for j in range(n) for term in
+                       (({n + j: 2}, 1 / (2 * m)), ({j: 2}, a1 / 2), ({j: 4}, b1 / 4))])
+
+
+FPU_EXACT = fpu_chain(8, alpha1=1, beta1=Fraction(1, 3), mass=Fraction(3, 2))
+HARMONIC_EXACT = harmonic_chain(8, alpha1=2, mass=Fraction(3, 2))
+
+
+@pytest.mark.parametrize("op, invariant", [
+    (KO, Polynomial([({v: 2}, 1) for v in range(3)])),
+    (FPU_EXACT.operator, _chain_energy(FPU_EXACT)),
+    (HARMONIC_EXACT.operator, _chain_energy(HARMONIC_EXACT)),
+], ids=["ko-energy", "fpu-energy", "harmonic-energy"])
+def test_exact_invariant_annihilated(op, invariant):
+    # in exact rationals L I is the zero polynomial, not a small one
+    assert all(isinstance(c, (int, Fraction)) for _, c in invariant.terms)
+    assert apply_liouville(op, invariant).is_zero()
+
+
 def test_single_oscillator_powers():
     # L = p d/dq - q d/dp on (q, p) = (x0, x1); u = p cycles p,-q,-p,q,p.
     op = LiouvilleOperator(2, [
@@ -95,6 +118,8 @@ def test_term_budget_reports_power():
     with pytest.raises(TermBudgetError) as err:
         liouville_powers(chain, u0, 10, term_cap=50)
     assert 0 < err.value.power_reached < 10
+    power = err.value.power_reached + 1
+    assert f"at power {power} (completed {power - 1})" in str(err.value)
 
 
 def test_support_examples():

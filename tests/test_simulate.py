@@ -8,13 +8,11 @@ from scipy import special
 
 from glekit.errors import NumericError, ValidationError
 from glekit.measures import QuarticGibbs, moment
-from glekit.poly import LiouvilleOperator, Polynomial
 from glekit.simulate import (
     ChainParams,
     ChainState,
     Observable,
     energy,
-    integrate_poly_ode,
     mc_autocorrelation,
     sample_equilibrium,
     sample_quartic_marginal,
@@ -22,7 +20,6 @@ from glekit.simulate import (
 )
 from glekit import simulate
 from glekit.simulate import _Verlet
-from glekit.systems import kraichnan_orszag
 from glekit.volterra import TimeGrid
 
 
@@ -238,41 +235,3 @@ def test_mc_unstable_step_raises():
     grid = TimeGrid(dt=1.5, horizon=30.0)
     with pytest.raises(NumericError, match="energy drift"):
         mc_autocorrelation(params, Observable(0, "p", 1), 50, grid, seed=12, sim_dt=1.5)
-
-
-def test_rk4_ko_invariant():
-    sys = kraichnan_orszag()
-    grid = TimeGrid(dt=1e-2, horizon=10.0)
-    x0 = np.array([1.0, 0.5, -0.25])
-    traj = integrate_poly_ode(sys.operator, x0, grid)
-    inv = (traj**2).sum(axis=1)
-    assert np.max(np.abs(inv - inv[0])) < 1e-8 * grid.horizon
-
-
-def test_rk4_zero_rhs():
-    op = LiouvilleOperator(2, [])
-    grid = TimeGrid(dt=0.1, horizon=1.0)
-    traj = integrate_poly_ode(op, np.array([1.0, -2.0]), grid)
-    assert np.all(traj == np.array([1.0, -2.0]))
-
-
-def test_rk4_linear_matches_matrix_exponential():
-    from scipy.linalg import expm
-    a = np.array([[0.0, 1.0], [-2.0, -0.3]])
-    op = LiouvilleOperator(2, [
-        (0, Polynomial.variable(1)),
-        (1, Polynomial([({0: 1}, -2.0), ({1: 1}, -0.3)])),
-    ])
-    grid = TimeGrid(dt=1e-3, horizon=3.0)
-    x0 = np.array([1.0, 0.5])
-    traj = integrate_poly_ode(op, x0, grid)
-    for i in (500, 1500, 3000):
-        want = expm(a * grid.times[i]) @ x0
-        assert np.max(np.abs(traj[i] - want)) < 1e-8
-
-
-def test_rk4_blowup_detected():
-    op = LiouvilleOperator(1, [(0, Polynomial.variable(0, 2))])  # x' = x^2
-    grid = TimeGrid(dt=0.01, horizon=3.0)
-    with pytest.raises(NumericError):
-        integrate_poly_ode(op, np.array([1.0]), grid)

@@ -10,7 +10,6 @@ from glekit.errors import ConditioningError, NumericError, ValidationError
 from glekit.klmodel import gle_sample_paths
 from glekit.volterra import (
     GeneralMode,
-    HamiltonianMode,
     Series,
     TimeGrid,
     extract_kernel,
@@ -166,42 +165,7 @@ def test_fluctuation_boundary_identity():
         assert h.values[0] == pytest.approx(de0[j] - omega * e[0, j], abs=1e-12)
 
 
-def test_single_mode_against_dense_solve():
-    # one retained mode, Hamiltonian coupling: compare the stepping solution
-    # with a dense lower-triangular solve of the same discrete equations
-    grid = TimeGrid(dt=2e-3, horizon=2.0)
-    t = grid.times
-    T = grid.horizon
-    omega = 0.0
-    e1 = math.sqrt(2.0 / T) * np.cos(math.pi * t / T)
-    lam = np.array([0.8])
-    hs = solve_fluctuation_modes(e1[:, None], lam, omega, HamiltonianMode(gram=1.0), grid)
-    h = hs[0].values
-    # dense solve: h(t_i) + dt*sum''_l K(t_i - t_l) e1(t_l) = e1'(t_i), with
-    # K(tau) = -lam h(0) h(tau)
-    from glekit.volterra import _derivative_4
-    n = grid.n_nodes
-    de = _derivative_4(e1, grid.dt)
-    h0 = de[0]
-    a = np.eye(n)
-    rhs = np.empty(n)
-    rhs[0] = h0
-    w = grid.dt * np.ones(n)
-    for i in range(1, n):
-        # unknowns h[j]; equation: h[i] - lam*h0*dt*(1/2 h[i] e1[0] + ... ) = de[i]
-        row = np.zeros(n)
-        row[i] = 1.0
-        for l in range(0, i + 1):
-            wt = 0.5 * grid.dt if l in (0, i) else grid.dt
-            # K(t_i - t_l) = -lam h0 h[i-l]
-            row[i - l] += wt * lam[0] * h0 * e1[l]
-        a[i] = row
-        rhs[i] = de[i]
-    dense = np.linalg.solve(a, rhs)
-    assert np.max(np.abs(h - dense)) < 1e-8
-
-
-def test_general_mode_needs_kernel_or_v():
+def test_general_mode_needs_kernel():
     with pytest.raises(ValidationError):
         GeneralMode()
 
