@@ -49,7 +49,7 @@ from .volterra import (
 def _build_context(cfg: ExperimentConfig):
     system = cfg.system.build()
     gamma = _rational(cfg.gamma)
-    if "n_sites" in system.params:
+    if system.is_chain:
         measure = gibbs_measure(system, gamma)
     else:
         measure = ProductMeasure.uniform(Gaussian(gamma), system.dimension)
@@ -68,8 +68,7 @@ def _kernel_pipeline(cfg: ExperimentConfig):
                          skew=kc.skew, term_cap=kc.term_cap)
     mu = mu_sequence(gam)
     if kc.delta == "consistency":
-        kernel, diag = select_kernel_by_consistency(mu, _grid(cfg), c0=kc.c0,
-                                                    c1=kc.c1, obs=obs)
+        kernel, diag = select_kernel_by_consistency(mu, _grid(cfg), obs=obs)
         selection = {
             "candidates": len(diag.scores) + sum(diag.rejected.values()),
             "admissible": len(diag.scores),
@@ -81,11 +80,7 @@ def _kernel_pipeline(cfg: ExperimentConfig):
             "eigensolves": diag.eigensolves,  # PSD tests the certificate left open
         }
         return system, measure, obs, gam, mu, kernel, {"selection": selection}
-    if kc.delta is None:
-        fp = estimate_scaling(gam)
-        fp = FaberParams(c0=kc.c0, c1=kc.c1, delta=fp.delta)
-    else:
-        fp = FaberParams(c0=kc.c0, c1=kc.c1, delta=kc.delta)
+    fp = estimate_scaling(gam) if kc.delta is None else FaberParams(delta=kc.delta)
     kernel = build_kernel(mu, basis=kc.basis, fp=fp, obs=obs)
     return system, measure, obs, gam, mu, kernel, {}
 
@@ -128,6 +123,9 @@ def cmd_correlate(cfg: ExperimentConfig, kernel_file: str | None = None) -> int:
     if kernel_file:
         kser, meta_in = read_series(kernel_file, value_name="K")
         omega = float(meta_in.get("streaming", 0.0))
+        if grid.horizon > kser.grid.horizon + 1e-9 * grid.dt:
+            raise ValidationError(f"{kernel_file} tabulates K only to t = "
+                                  f"{kser.grid.horizon:g}, short of the grid's {grid.horizon:g}")
         if kser.grid != grid:
             kvals = np.interp(grid.times, kser.grid.times, kser.values)
             kser = Series(grid, kvals)
@@ -145,10 +143,12 @@ def cmd_correlate(cfg: ExperimentConfig, kernel_file: str | None = None) -> int:
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
-    if cfg.system.name not in ("harmonic_chain", "fpu_chain"):
+    system = cfg.system.build()
+    if not system.is_chain:
         raise ValidationError("mc requires a built-in chain system")
-    params = ChainParams(n_sites=cfg.system.n_sites, mass=cfg.system.mass,
-                         alpha1=cfg.system.alpha1, beta1=cfg.system.beta1,
+    sp = system.params
+    params = ChainParams(n_sites=sp["n_sites"], mass=float(sp["mass"]),
+                         alpha1=float(sp["alpha1"]), beta1=float(sp["beta1"]),
                          gamma=cfg.gamma)
     grid = _grid(cfg)
     observable = Observable(site=cfg.observable.site, field=cfg.observable.field,
@@ -177,8 +177,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         system, measure, obs, _, _, kernel, explained = _kernel_pipeline(cfg)
         corr = solve_correlation(kernel.streaming, kernel, grid)
         corr_raw = Series(grid, corr.values * float(obs.gram))
-    basis = kl_decompose(corr_raw, kmax=cfg.kl.kmax,
-                         energy_floor=cfg.kl.energy_floor)
+    basis = kl_decompose(corr_raw)
 
     marginal = DensityMarginal(measure.density(cfg.observable.variable_index(system)))
     ens = sample_ensemble(basis, marginal, cfg.kl.n_samples,
@@ -201,6 +200,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
     for k in range(basis.rank):
         mode_cols[f"e{k + 1}"] = basis.modes[:, k]
     write_columns(out / "modes.csv", mode_cols, meta)
+    fdt = {}
     if kernel is not None:
         h = solve_fluctuation_modes(basis.modes, basis.eigenvalues, kernel.streaming,
                                     GeneralMode(kernel=kernel), grid)
@@ -215,9 +215,10 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         # origin-0 ACF H A G A h(0) with G = xi^T xi / samples, K x K
         ah = hmat[:, :ens.basis.rank] * np.sqrt(ens.basis.eigenvalues)
         g = ens.xi.T @ ens.xi / ens.n_samples
+        acf, target = ah @ (g @ ah[0]), -float(obs.gram) * kernel(grid.times)
         write_columns(out / "noise_acf.csv",
-                      {"t": grid.times, "acf": ah @ (g @ ah[0]),
-                       "fdt_target": -float(obs.gram) * kernel(grid.times)}, meta)
+                      {"t": grid.times, "acf": acf, "fdt_target": target}, meta)
+        fdt = {"fdt": {"sup_deviation": float(np.max(np.abs(acf - target)) / abs(target[0]))}}
     if cfg.kl.export_xi:
         write_columns(out / "xi.csv",
                       {f"xi{k + 1}": ens.xi[:, k] for k in range(ens.basis.rank)},
@@ -225,7 +226,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
     for m in (1, 2, 4):
         acf = higher_order_acf(ens, m)
         write_series(out / f"acf_m{m}.csv", acf, meta, value_name="acf")
-    write_manifest(out / "manifest.json", meta)
+    write_manifest(out / "manifest.json", {**meta, **fdt})
     print(f"kl: rank {basis.rank}, sampled rank {ens.basis.rank}, "
           f"marginal err {ens.marginal_error:.3g}, acf err {ens.acf_error:.3g}, "
           f"converged {ens.converged}")

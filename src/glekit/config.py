@@ -11,6 +11,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ValidationError
+from .io import _json_default
+from .poly import DEFAULT_TERM_CAP
 from .systems import BUILTIN_SYSTEMS, PolySystem, load_system
 
 
@@ -106,7 +108,7 @@ class ObservableConfig:
             if not 0 <= self.var < system.dimension:
                 raise ValidationError("observable variable outside the system")
             return self.var
-        if "n_sites" not in system.params:
+        if not system.is_chain:
             raise ValidationError("field/site observables need a chain system")
         n = system.params["n_sites"]
         j = self.site % n
@@ -120,10 +122,8 @@ class KernelConfig:
     # None: estimate from the gamma growth; "consistency": scan orders/deltas
     # for the best consecutive-order agreement (asymptotic-series regimes)
     delta: float | str | None = None
-    c0: float = 0.0
-    c1: float = -0.25
     skew: bool = True
-    term_cap: int = 10_000_000
+    term_cap: int = DEFAULT_TERM_CAP
 
     def __post_init__(self):
         if self.basis not in ("faber", "dyson"):
@@ -153,16 +153,10 @@ class MCConfig:
 
 @dataclass
 class KLConfig:
-    kmax: int | None = None
     iters: int = 10
     n_samples: int = 20000
     seed: int = 0
-    energy_floor: float = 1e-8
     export_xi: bool = False
-
-    def __post_init__(self):
-        if self.kmax is not None and self.kmax < 1:
-            raise ValidationError("kl kmax must be >= 1 or null")
 
 
 @dataclass
@@ -230,10 +224,5 @@ def write_manifest(path, manifest: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=_manifest_default)
+        json.dump(doc, fh, indent=1, sort_keys=True, default=_json_default)
         fh.write("\n")
-
-
-def _manifest_default(obj):
-    from .io import _json_default
-    return _json_default(obj)

@@ -78,14 +78,15 @@ def write_series(path, series: Series, meta: dict | None = None,
 
 def read_series(path, value_name: str | None = None):
     cols, meta = read_columns(path)
-    if "t" not in cols:
-        raise ValidationError(f"{path} has no 't' column")
+    if value_name is None:
+        value_name = next((n for n in cols if n not in ("t", "se")), "value")
+    for name in ("t", value_name):
+        if name not in cols:
+            raise ValidationError(f"{path} has no {name!r} column")
     t = cols["t"]
     if len(t) < 2:
         raise ValidationError(f"{path} needs at least two rows")
     dt = float(t[1] - t[0])
     grid = TimeGrid(dt=dt, horizon=float(t[-1]))
-    if value_name is None:
-        value_name = next(n for n in cols if n not in ("t", "se"))
     se = cols.get("se")
     return Series(grid, cols[value_name], se=se), meta

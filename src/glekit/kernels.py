@@ -7,6 +7,10 @@ a Faber polynomial basis.  The operator is never rescaled here: a scaling
 ``delta`` enters only through ``gamma_i -> delta**i gamma_i`` when the kernel
 coefficients are assembled, and physical-time evaluation maps ``t -> t/delta``.
 
+The CLI, the selectors and :func:`estimate_scaling` use one fixed Faber
+map, the :class:`FaberParams` defaults c0 = 0 and c1 = -1/4: its segment
+c0 + iy, |y| <= 2 sqrt(-c1) = 1, of the imaginary axis must hold the
+spectrum of the delta-scaled generator, so ``delta`` alone sets the scale.
 The Faber temporal modes g_q(t) = exp(c0 t) J_q(2 rho t) / rho**q of orders
 0..Q form one table (:func:`_mode_table`): ``jv`` gives the rows Q and Q - 1,
 and the downward Bessel recurrence every lower row.  Each row agrees with
@@ -24,10 +28,9 @@ from scipy import special
 
 from .errors import ValidationError
 from .measures import ProductMeasure, moment, product_expectation
-from .poly import LiouvilleOperator, Polynomial, _at_power, apply_liouville
+from .poly import DEFAULT_TERM_CAP, LiouvilleOperator, Polynomial, _at_power, apply_liouville
 from .volterra import Series, _march
 
-DEFAULT_GAMMA_TERM_CAP = 10_000_000
 # kernel_eval builds its mode tables for this many times at once, so long
 # grids leave no large freed buffers behind in the allocator
 _EVAL_BLOCK = 256
@@ -103,7 +106,7 @@ class FaberParams:
 
 def gamma_sequence(op: LiouvilleOperator, obs: ObservableSpec,
                    measure: ProductMeasure, n: int, skew: bool = False,
-                   term_cap: int = DEFAULT_GAMMA_TERM_CAP) -> GammaSequence:
+                   term_cap: int = DEFAULT_TERM_CAP) -> GammaSequence:
     """Normalized moments gamma_i = <L^i u0, u0> / <u0, u0> for i = 1..n.
 
     The measure decides the arithmetic.  When some density of the measure
@@ -248,13 +251,19 @@ def _mode_table(basis, order: int, t) -> np.ndarray:
 class KernelExpansion:
     """Truncated memory-kernel expansion, evaluable at physical times."""
 
-    basis: str                      # "dyson" | "faber"
-    order: int
     coeffs: tuple                   # M_0..M_n of the delta-scaled generator
     delta: float
     gram: object
     streaming_scaled: float         # Omega of the scaled generator, delta*mu_1
-    faber: FaberParams | None = None
+    faber: FaberParams | None = None  # None: the Dyson basis
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def basis(self) -> str:
+        return "dyson" if self.faber is None else "faber"
 
     @property
     def streaming(self) -> float:
@@ -291,7 +300,7 @@ def build_kernel(mu: MuSequence, basis: str = "faber",
     else:
         raise ValidationError(f"unknown basis {basis!r}")
     gram = obs.gram if obs is not None else 1
-    return KernelExpansion(basis=basis, order=n, coeffs=coeffs, delta=delta,
+    return KernelExpansion(coeffs=coeffs, delta=delta,
                            gram=gram, streaming_scaled=delta * float(mu.mu(1)),
                            faber=fp if basis == "faber" else None)
 
@@ -312,8 +321,7 @@ def _truncation_values(k: KernelExpansion, t) -> np.ndarray:
     term-by-term loop ``acc = acc + g_q M_q``.
     """
     tau = np.asarray(t, dtype=float) / k.delta
-    basis = k.faber if k.basis == "faber" else "dyson"
-    table = _mode_table(basis, k.order, tau)
+    table = _mode_table(k.faber or "dyson", k.order, tau)
     coeffs = np.asarray(k.coeffs, dtype=float).reshape((-1,) + (1,) * tau.ndim)
     return np.cumsum(table * coeffs, axis=0) / k.delta**2
 
@@ -388,8 +396,7 @@ class SelectionDiagnostics:
     eigensolves: int = 0
 
 
-def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, lag: int, score,
-          anchor=None):
+def _scan(mu: MuSequence, grid, orders, deltas, obs, lag: int, score, anchor=None):
     """The (order, delta) scan of both selectors: ``(kernel, diagnostics)``.
 
     Per delta, one :func:`build_kernel` at the top order gives the
@@ -399,7 +406,9 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, lag: int, score,
     turn: with ``anchor = (t_a, k_a, tol)`` its kernel must stay within
     ``tol * |k_a[0]|`` of ``k_a`` at the times ``t_a``; C_n and C_{n-lag}
     must be finite and within ``SELECT_BOUND``; C_n must pass the PSD test.
-    The admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins.
+    The admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins,
+    returned as its delta's kernel cut to order n (all orders at one delta
+    share the streaming term).
 
     The PSD test has two steps on Nystrom matrices built from one layout of
     the grid.  A failed Cholesky factorization of the shifted matrix
@@ -416,25 +425,24 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, lag: int, score,
     deltas = [float(d) for d in deltas]
     solved = sorted(set(orders) | {n - lag for n in orders})
     unique = list(dict.fromkeys(deltas))
-    kernels, err = {}, {}
+    top = MuSequence(mu.values[:max(solved, default=0) + 2])
+    kernels, err = {}, {}  # err keys (n, delta) in the march's column order
     kvals = np.empty((grid.n_nodes, len(solved) * len(unique)))
     for i, delta in enumerate(unique):
-        k = build_kernel(MuSequence(mu.values[:max(solved, default=0) + 2]), "faber",
-                         FaberParams(c0=c0, c1=c1, delta=delta), obs)
+        k = kernels[delta] = build_kernel(top, "faber", FaberParams(delta=delta), obs)
         kvals[:, i * len(solved):(i + 1) * len(solved)] = \
             _truncation_values(k, grid.times)[solved].T
         if anchor:
             dev = np.max(np.abs(_truncation_values(k, anchor[0])[solved] - anchor[1]), axis=1)
         for j, n in enumerate(solved):
-            kernels[n, delta] = replace(k, order=n, coeffs=k.coeffs[:n + 1])
             err[n, delta] = dev[j] / abs(float(anchor[1][0])) if anchor else 0.0
     ok = np.isfinite(kvals).all(axis=0)
     kvals[:, ~ok] = 0.0  # marched harmlessly, then dropped
-    omega = np.array([k.streaming for k in kernels.values()])
+    omega = np.repeat([k.streaming for k in kernels.values()], len(solved))
     with np.errstate(over="ignore", invalid="ignore"):
         c = _march(kvals, omega, np.ones(len(omega)), grid.dt, np.zeros(grid.n_nodes))
     ok &= np.isfinite(c).all(axis=0)
-    corr = {key: c[:, j] if ok[j] else None for j, key in enumerate(kernels)}
+    corr = {key: c[:, j] if ok[j] else None for j, key in enumerate(err)}
     tol = anchor[2] if anchor else math.inf
     layout = NystromLayout.of(grid)
     diag = SelectionDiagnostics()
@@ -458,7 +466,7 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, lag: int, score,
                     gap = score(cn, lower)
                     diag.scores[n, delta] = (gap, float(err[n, delta])) if anchor else gap
                     if best is None or gap < best[0]:
-                        best = (gap, kernels[n, delta], ratio)
+                        best = (gap, n, delta, ratio)
                     continue
                 reason = "not_psd"
             diag.rejected[reason] += 1
@@ -466,12 +474,11 @@ def _scan(mu: MuSequence, grid, orders, deltas, c0, c1, obs, lag: int, score,
         raise ValidationError(
             f"no {'anchored ' if anchor else ''}stable positive-semidefinite kernel "
             f"configuration found on the candidate grid (rejected: {dict(diag.rejected)})")
-    diag.psd_ratio = best[2]
-    return best[1], diag
+    _, n, delta, diag.psd_ratio = best
+    return replace(kernels[delta], coeffs=kernels[delta].coeffs[:n + 1]), diag
 
 
 def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
-                                 c0: float = 0.0, c1: float = -0.25,
                                  obs: ObservableSpec | None = None):
     """Pick (order, delta) by agreement of consecutive-order correlations.
 
@@ -501,14 +508,14 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
     orders = [n for n in orders if 2 < n <= n_max]
     if not orders:
         raise ValidationError("no admissible orders: need mu up to at least 7")
-    return _scan(mu, grid, orders, deltas, c0, c1, obs, 2,
+    return _scan(mu, grid, orders, deltas, obs, 2,
                  lambda cn, lower: float(np.max(np.abs(cn - lower))))
 
 
-def dyson_anchor_horizon(mu: MuSequence, order: int = 12, tol: float = 1e-3) -> float:
+def dyson_anchor_horizon(mu: MuSequence, order: int) -> float:
     """Largest time where the order-n Dyson (Taylor) kernel is trustworthy.
 
-    Chosen so the last retained Taylor term is below ``tol`` of |mu_2|; the
+    Chosen so the last retained Taylor term is below 1e-3 of |mu_2|; the
     Taylor representation converges there regardless of how wild the moment
     growth is beyond, which makes it a hard short-time reference.
     """
@@ -519,12 +526,11 @@ def dyson_anchor_horizon(mu: MuSequence, order: int = 12, tol: float = 1e-3) -> 
     m2 = abs(float(mu.mu(2)))
     if m_last == 0 or m2 == 0:
         return math.inf
-    return (tol * m2 * math.factorial(order) / m_last) ** (1.0 / order)
+    return (1e-3 * m2 * math.factorial(order) / m_last) ** (1.0 / order)
 
 
 def select_kernel_by_reference(mu: MuSequence, grid, reference,
                                orders=None, deltas=None,
-                               c0: float = 0.0, c1: float = -0.25,
                                obs: ObservableSpec | None = None):
     """Pick the best-matching truncation against a reference correlation.
 
@@ -559,21 +565,21 @@ def select_kernel_by_reference(mu: MuSequence, grid, reference,
     ta_grid = np.linspace(0.0, t_a, 101)
     kd = build_kernel(MuSequence(mu.values[:anchor_order + 2]), "dyson",
                       FaberParams(delta=1.0))
-    return _scan(mu, grid, orders, deltas, c0, c1, obs, 0,
+    return _scan(mu, grid, orders, deltas, obs, 0,
                  lambda cn, _: float(np.max(np.abs(cn - ref))),
                  (ta_grid, kd(ta_grid), ANCHOR_TOL))
 
 
 def estimate_scaling(gamma: GammaSequence) -> FaberParams:
-    """Heuristic (c0, c1, delta): spectral-radius proxy from the gamma growth.
+    """Heuristic delta for the fixed Faber map: a spectral-radius proxy.
 
-    R = max_j |gamma_j|^(1/j); delta = min(1, 1/R); c0 = 0 targets generators
-    with imaginary-axis spectrum and c1 = -1/4 a unit-width segment.  A
-    starting point, meant to be overridden when the user knows better.
+    R = max_j |gamma_j|^(1/j) and delta = min(1, 1/R), so the scaled
+    spectrum fits the map's unit segment of the imaginary axis.  A starting
+    point, meant to be overridden when the user knows better.
     """
     radii = [abs(float(g))**(1.0 / j)
              for j, g in enumerate(gamma.values, start=1) if g != 0]
     if not radii:
         raise ValidationError("cannot estimate scaling from an all-zero gamma sequence")
     r = max(radii)
-    return FaberParams(c0=0.0, c1=-0.25, delta=min(1.0, 1.0 / r))
+    return FaberParams(delta=min(1.0, 1.0 / r))

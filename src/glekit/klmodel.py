@@ -32,6 +32,8 @@ CERT_MARGIN = 1e-6
 SCRATCH = 1 << 19
 # sample paths whose ACF the sampler compares against the target
 ACF_CHECK_ROWS = 20000
+# the sampler may stop early once that ACF is within ACF_TOL of lag 0
+ACF_TOL = 0.05
 
 
 @dataclass
@@ -290,8 +292,7 @@ def _sampling_truncation(basis: KLBasis, n_samples: int) -> KLBasis:
 
 
 def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
-                    seed=None, marginal_tol: float = 0.01,
-                    acf_tol: float = 0.05) -> SampleEnsemble:
+                    seed=None, marginal_tol: float = 0.01) -> SampleEnsemble:
     """Draw KL amplitude samples consistent with a target one-time marginal.
 
     Iterates: build paths from xi; rank-remap the values at every grid time
@@ -301,7 +302,7 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     error at the 1%-99% probes and the tail-moment error (largest relative
     mismatch of the even central moments up to the 8th between the pooled
     path values and the target quantiles) below ``marginal_tol``, and the ACF
-    error below ``acf_tol``.  The tail check matters because the probes miss
+    error below ``ACF_TOL``.  The tail check matters because the probes miss
     the tails that carry the lag-0 values of higher-order ACFs.  Otherwise it
     finishes the ``iters`` sweeps and reports a warning status.  The returned
     ensemble carries the basis it sampled, truncated to the modes the remap
@@ -352,7 +353,7 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
         history.append({"marginal_error": marg_err, "moment_error": mom_err,
                         "acf_error": acf_err})
         converged = (max(marg_err, mom_err) <= marginal_tol
-                     and acf_err <= acf_tol)
+                     and acf_err <= ACF_TOL)
         if converged:
             break
     if not converged:

@@ -250,7 +250,7 @@ class LiouvilleOperator:
 
 
 def apply_liouville(op: LiouvilleOperator, poly: Polynomial,
-                    term_cap: int | None = None) -> Polynomial:
+                    term_cap: int = DEFAULT_TERM_CAP) -> Polynomial:
     """Apply ``L`` to a polynomial and return the canonical merged result.
 
     Per monomial and per target variable this performs the two linear maps
@@ -261,7 +261,6 @@ def apply_liouville(op: LiouvilleOperator, poly: Polynomial,
         raise DimensionMismatchError(
             f"polynomial uses variable {poly.max_variable()} "
             f">= dimension {op.dimension}")
-    cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
     rhs_map = op._rhs_map
     out: dict[MonomialKey, object] = {}
     get = out.get
@@ -287,9 +286,9 @@ def apply_liouville(op: LiouvilleOperator, poly: Polynomial,
                     out.pop(nk, None)
                 else:
                     out[nk] = s
-        if len(out) > cap:
+        if len(out) > term_cap:
             raise TermBudgetError(
-                f"term budget {cap} exceeded while applying the operator",
+                f"term budget {term_cap} exceeded while applying the operator",
                 power_reached=0)
     return Polynomial._raw(out)
 
@@ -310,13 +309,12 @@ def _at_power(power: int, cap: int):
 
 
 def liouville_powers(op: LiouvilleOperator, u0: Polynomial, n: int,
-                     term_cap: int | None = None) -> list[Polynomial]:
+                     term_cap: int = DEFAULT_TERM_CAP) -> list[Polynomial]:
     """Return ``[u0, L u0, ..., L^n u0]`` in canonical form."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
     seq = [u0]
     for i in range(1, n + 1):
-        with _at_power(i, cap):
-            seq.append(apply_liouville(op, seq[-1], term_cap=cap))
+        with _at_power(i, term_cap):
+            seq.append(apply_liouville(op, seq[-1], term_cap=term_cap))
     return seq

@@ -27,15 +27,12 @@ class ChainParams:
     alpha1: float = 1.0
     beta1: float = 0.0
     gamma: float = 1.0
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.n_sites < 3:
             raise ValidationError("chain needs at least 3 sites")
         if self.mass <= 0 or self.alpha1 <= 0 or self.beta1 < 0 or self.gamma <= 0:
             raise ValidationError("require mass > 0, alpha1 > 0, beta1 >= 0, gamma > 0")
-        if self.boundary != "periodic":
-            raise ValidationError("only periodic chains are supported")
 
 
 @dataclass

@@ -31,6 +31,11 @@ class PolySystem:
     def dimension(self) -> int:
         return self.operator.dimension
 
+    @property
+    def is_chain(self) -> bool:
+        """Built-in chains, and only they, carry their chain parameters."""
+        return "n_sites" in self.params
+
     def variable(self, name: str) -> int:
         try:
             return self.names.index(name)

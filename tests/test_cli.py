@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from glekit.cli import main
-from glekit.io import read_columns, read_series, write_series
+from glekit.io import read_columns, read_series, write_columns, write_series
 from glekit.volterra import Series, TimeGrid
 
 
@@ -83,7 +83,7 @@ def test_consistency_selection_in_manifests(tmp_path):
     assert "selection" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
 
 
-def test_correlate_from_kernel_file(tmp_path):
+def test_correlate_from_kernel_file(tmp_path, capsys):
     grid = TimeGrid(dt=0.01, horizon=5.0)
     t = grid.times
     kvals = np.where(t == 0, -2.0, -2 * special.jv(1, 2 * t) / np.where(t == 0, 1, t))
@@ -93,6 +93,14 @@ def test_correlate_from_kernel_file(tmp_path):
     assert main(["correlate", str(cfg), "--kernel-file", str(kfile)]) == 0
     series, _ = read_series(tmp_path / "out" / "correlation.csv", value_name="C")
     assert np.max(np.abs(series.values - special.jv(0, 2 * t))) < 1e-4
+    # K tabulated on [0, 2] cannot be held constant out to the horizon 5
+    short = tmp_path / "short_kernel.csv"
+    write_series(short, Series(TimeGrid(dt=0.01, horizon=2.0), kvals[:201]),
+                 {"streaming": 0.0}, value_name="K")
+    assert main(["correlate", str(cfg), "--set", f"output_dir={tmp_path / 'short'}",
+                 "--kernel-file", str(short)]) == 2
+    assert "short_kernel.csv" in capsys.readouterr().err
+    assert not (tmp_path / "short").exists()
 
 
 def _damped_pair_file(path: Path) -> Path:
@@ -217,7 +225,8 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("defect", ["json_header", "non_numeric", "ragged_row"])
+@pytest.mark.parametrize("defect", ["json_header", "non_numeric", "ragged_row",
+                                    "missing_column"])
 def test_malformed_input_file_exit_code(tmp_path, capsys, defect):
     grid = TimeGrid(dt=0.01, horizon=5.0)
     good = tmp_path / "good.csv"
@@ -227,8 +236,10 @@ def test_malformed_input_file_exit_code(tmp_path, capsys, defect):
         lines[0] = "# {bad json"
     elif defect == "non_numeric":
         lines[5] = lines[5].split(",")[0] + ",abc"
-    else:
+    elif defect == "ragged_row":
         lines[5] += ",1.0"
+    else:  # neither the 'C' nor the 'K' column
+        lines[1] = "t,X"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
@@ -236,6 +247,14 @@ def test_malformed_input_file_exit_code(tmp_path, capsys, defect):
     assert main(["correlate", str(cfg), "--kernel-file", str(bad)]) == 2
     assert "bad.csv" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_file_without_values_exit_code(tmp_path, capsys):
+    grid = TimeGrid(dt=0.01, horizon=1.0)
+    write_series(tmp_path / "a.csv", Series(grid, np.ones(grid.n_nodes)), {})
+    write_columns(tmp_path / "se_only.csv", {"t": grid.times, "se": np.ones(grid.n_nodes)}, {})
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "se_only.csv")]) == 2
+    assert "se_only.csv" in capsys.readouterr().err
 
 
 def test_determinism_same_seed_identical_files(tmp_path):

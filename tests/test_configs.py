@@ -75,8 +75,12 @@ def test_documented_commands_run(tmp_path, monkeypatch, name):
         cols, _ = read_columns(tmp_path / "out/fpu/kl/noise_acf.csv")
         # -<u0, u0> K(0) = <L u0, L u0> > 0
         assert np.all(np.isfinite(cols["fdt_target"])) and cols["fdt_target"][0] > 0
-        sel = json.loads((tmp_path / "out/fpu/kl/manifest.json").read_text())["selection"]
+        manifest = json.loads((tmp_path / "out/fpu/kl/manifest.json").read_text())
+        sel = manifest["selection"]
         assert 0 <= sel["gap"] < np.inf and sel["eigensolves"] >= sel["admissible"] >= 1
+        # the FDT closed loop as the manifest reports it, rebuilt from the CSV
+        deviation = np.max(np.abs(cols["acf"] - cols["fdt_target"])) / abs(cols["fdt_target"][0])
+        assert manifest["fdt"] == {"sup_deviation": deviation}
 
 
 def test_entry_point_exit_codes(tmp_path):

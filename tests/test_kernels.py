@@ -475,6 +475,22 @@ def test_certificate_moves_no_decision(quartic_selection, monkeypatch, select):
     assert len(diag.scores) <= diag.eigensolves < plain.eigensolves
 
 
+@pytest.mark.parametrize("select", ["consistency", "reference"])
+def test_scan_winner_is_its_truncation_built_alone(quartic_selection, select):
+    # the scan builds one kernel per delta and cuts the winner to its order
+    mus, obs, grid, indefinite = quartic_selection
+    if select == "consistency":
+        kern, _ = select_kernel_by_consistency(mus, grid, obs=obs)
+    else:
+        ref = solve_correlation(indefinite.streaming, indefinite, grid)
+        kern, _ = select_kernel_by_reference(mus, grid, ref, obs=obs)
+    n, d = kern.order, kern.delta
+    alone = build_kernel(MuSequence(mus.values[:n + 2]), "faber", FaberParams(delta=d), obs)
+    assert (kern.coeffs, kern.order, kern.delta, kern.streaming) == \
+        (alone.coeffs, alone.order, alone.delta, alone.streaming)
+    assert (kern.basis, kern.faber) == ("faber", alone.faber)
+
+
 def test_selector_error_names_rejection_reasons(quartic_selection):
     mus, obs, grid, indefinite = quartic_selection
     with pytest.raises(ValidationError, match="not_psd"):

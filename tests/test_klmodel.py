@@ -276,7 +276,7 @@ def test_sample_ensemble_matches_per_sweep_rebuild(marginal_tol, iters):
     grid = TimeGrid(dt=0.05, horizon=4.0)
     basis = kl_decompose(Series(grid, float(moment(density, 2)) * special.jv(0, 2 * grid.times)))
     xi, paths, marg_err, mom_err, acf_err, it = _sample_ensemble_reference(
-        basis, marginal, 3000, iters, 17, marginal_tol, 0.05)
+        basis, marginal, 3000, iters, 17, marginal_tol, klmodel.ACF_TOL)
     assert it >= 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
