@@ -96,8 +96,6 @@ def cmd_kernel(cfg: ExperimentConfig) -> int:
     kvals = kernel(grid.times)
     meta = {
         "basis": kernel.basis, "order": kernel.order, "delta": kernel.delta,
-        "c0": float(kernel.faber.c0) if kernel.faber else 0.0,
-        "c1": float(kernel.faber.c1) if kernel.faber else 0.0,
         "gram": float(obs.gram), "streaming": kernel.streaming,
         "gamma_table": [float(g) for g in gam.values],
         "mu_table": [float(v) for v in mu.values],
@@ -168,6 +166,8 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
     grid = _grid(cfg)
     if correlation_file:
         corr, _ = read_series(correlation_file, value_name="C")
+        if not (np.all(np.isfinite(corr.values)) and corr.values[0] > 0):
+            raise ValidationError(f"{correlation_file}: C must be finite with C(0) > 0")
         if corr.grid != grid:
             raise ValidationError("correlation file grid differs from config grid")
         system, measure, obs = _build_context(cfg)

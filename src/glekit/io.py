@@ -87,6 +87,10 @@ def read_series(path, value_name: str | None = None):
     if len(t) < 2:
         raise ValidationError(f"{path} needs at least two rows")
     dt = float(t[1] - t[0])
+    if t[0] != 0 or not dt > 0 or not np.allclose(
+            t, np.arange(len(t)) * dt, rtol=1e-9, atol=1e-9 * dt):
+        raise ValidationError(f"{path}: the t column is not a uniform grid "
+                              f"t_i = i * dt from 0")
     grid = TimeGrid(dt=dt, horizon=float(t[-1]))
     se = cols.get("se")
     return Series(grid, cols[value_name], se=se), meta

@@ -7,14 +7,12 @@ a Faber polynomial basis.  The operator is never rescaled here: a scaling
 ``delta`` enters only through ``gamma_i -> delta**i gamma_i`` when the kernel
 coefficients are assembled, and physical-time evaluation maps ``t -> t/delta``.
 
-The CLI, the selectors and :func:`estimate_scaling` use one fixed Faber
-map, the :class:`FaberParams` defaults c0 = 0 and c1 = -1/4: its segment
-c0 + iy, |y| <= 2 sqrt(-c1) = 1, of the imaginary axis must hold the
-spectrum of the delta-scaled generator, so ``delta`` alone sets the scale.
-The Faber temporal modes g_q(t) = exp(c0 t) J_q(2 rho t) / rho**q of orders
-0..Q form one table (:func:`_mode_table`): ``jv`` gives the rows Q and Q - 1,
-and the downward Bessel recurrence every lower row.  Each row agrees with
-``jv`` to 1e-13 of its largest magnitude over the tabulated times.
+The Faber basis has one fixed map, c0 = 0 and c1 = -1/4.  The generator of a
+Hamiltonian chain in Gibbs equilibrium is skew-adjoint, and the map's segment
+iy, |y| <= 1, must hold the spectrum of the delta-scaled generator, so
+``delta`` alone sets the scale.  The map's polynomials F_q
+(:func:`faber_polynomial_coeffs`) and temporal modes g_q(t) = 2**q J_q(t)
+(:func:`_mode_table`) expand e^{tz} = sum_q g_q(t) F_q(z) on the segment.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -93,10 +92,8 @@ class MuSequence:
 
 @dataclass(frozen=True)
 class FaberParams:
-    """Recurrence constants (c0, c1) and operator scaling delta in (0, 1]."""
+    """Operator scaling delta in (0, 1] of the fixed Faber map."""
 
-    c0: object = 0.0
-    c1: object = -0.25
     delta: float = 1.0
 
     def __post_init__(self):
@@ -164,84 +161,53 @@ def mu_sequence(gamma: GammaSequence) -> MuSequence:
     return MuSequence(tuple(mu))
 
 
-def faber_polynomial_coeffs(fp: FaberParams, n: int) -> list[list]:
-    """Lower-triangular table phi with F_q(z) = sum_j phi[q][j] z^j.
+def faber_polynomial_coeffs(n: int) -> list[list]:
+    """Exact lower-triangular table phi with F_q(z) = sum_j phi[q][j] z^j.
 
-    Recurrence: F_0 = 1, F_1 = z - c0, F_2 = (z - c0) F_1 - 2 c1, and
-    F_{q+1} = (z - c0) F_q - c1 F_{q-1} for q >= 2.  The polynomials are
-    monic; the lone factor 2 on c1 appears only in F_2.
+    F_0 = 1, F_1 = z, F_2 = z^2 + 1/2 and F_{q+1} = z F_q + F_{q-1} / 4 for
+    q >= 2, run on the integer rows G_q = 2**q F_q as G_{q+1} = 2z G_q + G_{q-1}.
+    The entries are ``Fraction`` or ``int`` 0.  Up to n = 42 every entry is a
+    float exactly, so the kernel coefficients take no rounding from the table.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
-    c0, c1 = fp.c0, fp.c1
-    rows: list[list] = [[1]]
-    if n >= 1:
-        rows.append([-c0, 1])
-    for q in range(1, n):
-        prev, prev2 = rows[q], rows[q - 1]
-        nxt = [0] * (q + 2)
-        for j, c in enumerate(prev):
-            nxt[j + 1] += c
-            nxt[j] += -c0 * c
-        if q == 1:
-            nxt[0] -= 2 * c1
-        else:
-            for j, c in enumerate(prev2):
-                nxt[j] -= c1 * c
+    rows: list[list[int]] = [[1], [0, 2], [2, 0, 4]]
+    for q in range(2, n):
+        nxt = [0] + [2 * c for c in rows[q]]
+        for j, c in enumerate(rows[q - 1]):
+            nxt[j] += c
         rows.append(nxt)
-    return rows
+    return [[Fraction(c, 2**q) if c else 0 for c in row]
+            for q, row in enumerate(rows[:n + 1])]
 
 
-def temporal_mode(basis, q: int, t):
-    """Time weight of the q-th basis element of the propagator expansion.
-
-    Dyson basis: t**q / q!.  Faber basis (``basis`` a :class:`FaberParams`
-    with c1 < 0): exp(t c0) * J_q(2 t sqrt(-c1)) / sqrt(-c1)**q, the top row
-    of the order-q table of :func:`_mode_table`.  That row is a ``jv`` seed
-    of the downward recurrence; the rows below it, which kernels sum, agree
-    with ``jv`` to 1e-13 of each row's largest magnitude.  Where J_q(x)
-    underflows, t = 0 included, the row is ``jv`` itself, exactly 0 at t = 0
-    for q > 0 and 1 for q = 0.
-    """
-    if q < 0:
-        raise ValidationError("q must be >= 0")
-    out = _mode_table(basis, q, t)[q]
-    return float(out) if out.ndim == 0 else out
-
-
-def _mode_table(basis, order: int, t) -> np.ndarray:
+def _mode_table(basis: str, order: int, t) -> np.ndarray:
     """Temporal modes g_0(t)..g_order(t), shape ``(order + 1,) + shape(t)``.
 
-    Faber rows are exp(c0 t) J_q(x) / rho**q with x = 2 rho t and
-    rho = sqrt(-c1).  Only the seeds J_order(x) and J_{order-1}(x) call
-    ``jv`` (with order < 2 they are the whole table); every lower row comes
-    from the downward recurrence J_{q-1}(x) = (2q / x) J_q(x) - J_{q+1}(x)
+    Faber rows are 2**q J_q(t).  Only the seeds J_order(t) and J_{order-1}(t)
+    call ``jv`` (with order < 2 they are the whole table); every lower row
+    comes from the downward recurrence J_{q-1}(t) = (2q / t) J_q(t) - J_{q+1}(t)
     (Abramowitz & Stegun 9.1.27), which is stable from exact seeds (Gautschi,
     SIAM Rev. 9, 1967).  Each row agrees with ``jv`` to 1e-13 of its largest
-    magnitude over ``t``.  At tiny |x| the seed J_order(x) falls below the
+    magnitude over ``t``.  At tiny |t| the seed J_order(t) falls below the
     smallest normal float, or to 0, and would zero every row below it; such
     columns take all their rows from ``jv``.  t = 0 is one of them, so its
-    column is exactly delta_q0 and K(0) = M_0 / delta**2.
+    column is exactly delta_q0 and K(0) = M_0 / delta**2.  Dyson rows are
+    t**q / q!.
     """
     t = np.asarray(t, dtype=float)
-    if isinstance(basis, FaberParams):
-        c0, c1 = float(basis.c0), float(basis.c1)
-        if c1 >= 0:
-            raise ValidationError("Faber temporal modes require c1 < 0")
-        rho = math.sqrt(-c1)
+    if basis == "faber":
         tf = t.reshape(-1)
-        x = 2.0 * tf * rho
         q = np.arange(order + 1)[:, None]
-        j = np.empty((order + 1, x.size))
-        j[-2:] = special.jv(q[-2:], x)
+        j = np.empty((order + 1, tf.size))
+        j[-2:] = special.jv(q[-2:], tf)
         if order >= 2:
             low = np.abs(j[-1]) < np.finfo(float).tiny
-            two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=~low)
+            two_over_t = np.divide(2.0, tf, out=np.zeros_like(tf), where=~low)
             for m in range(order - 1, 0, -1):
-                j[m - 1] = m * two_over_x * j[m] - j[m + 1]
-            j[:, low] = special.jv(q, x[low])
-        scale = np.array([rho**m for m in range(order + 1)])[:, None]
-        return (np.exp(tf * c0) * j / scale).reshape((order + 1,) + t.shape)
+                j[m - 1] = m * two_over_t * j[m] - j[m + 1]
+            j[:, low] = special.jv(q, tf[low])
+        return (j * 2.0**q).reshape((order + 1,) + t.shape)
     if basis == "dyson":
         return np.stack([t**q / math.factorial(q) for q in range(order + 1)])
     raise ValidationError(f"unknown basis {basis!r}")
@@ -255,15 +221,11 @@ class KernelExpansion:
     delta: float
     gram: object
     streaming_scaled: float         # Omega of the scaled generator, delta*mu_1
-    faber: FaberParams | None = None  # None: the Dyson basis
+    basis: str = "faber"            # or "dyson"
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def basis(self) -> str:
-        return "dyson" if self.faber is None else "faber"
 
     @property
     def streaming(self) -> float:
@@ -285,15 +247,13 @@ def build_kernel(mu: MuSequence, basis: str = "faber",
     """
     if len(mu) < 2:
         raise ValidationError("need mu up to index n+2, i.e. at least 2 entries")
-    if fp is None:
-        fp = FaberParams()
     n = len(mu) - 2
-    delta = float(fp.delta)
+    delta = float(fp.delta) if fp is not None else 1.0
     scaled = [delta**i * float(mu.mu(i)) for i in range(1, n + 3)]
     if basis == "dyson":
         coeffs = tuple(scaled[q + 1] for q in range(n + 1))
     elif basis == "faber":
-        phi = faber_polynomial_coeffs(fp, n)
+        phi = faber_polynomial_coeffs(n)
         coeffs = tuple(
             math.fsum(float(phi[q][j]) * scaled[j + 1] for j in range(q + 1))
             for q in range(n + 1))
@@ -302,7 +262,7 @@ def build_kernel(mu: MuSequence, basis: str = "faber",
     gram = obs.gram if obs is not None else 1
     return KernelExpansion(coeffs=coeffs, delta=delta,
                            gram=gram, streaming_scaled=delta * float(mu.mu(1)),
-                           faber=fp if basis == "faber" else None)
+                           basis=basis)
 
 
 def kernel_eval(k: KernelExpansion, t):
@@ -321,7 +281,7 @@ def _truncation_values(k: KernelExpansion, t) -> np.ndarray:
     term-by-term loop ``acc = acc + g_q M_q``.
     """
     tau = np.asarray(t, dtype=float) / k.delta
-    table = _mode_table(k.faber or "dyson", k.order, tau)
+    table = _mode_table(k.basis, k.order, tau)
     coeffs = np.asarray(k.coeffs, dtype=float).reshape((-1,) + (1,) * tau.ndim)
     return np.cumsum(table * coeffs, axis=0) / k.delta**2
 
@@ -563,8 +523,7 @@ def select_kernel_by_reference(mu: MuSequence, grid, reference,
     anchor_order = min(ANCHOR_ORDER, n_max)
     t_a = min(dyson_anchor_horizon(mu, anchor_order), grid.horizon / 2)
     ta_grid = np.linspace(0.0, t_a, 101)
-    kd = build_kernel(MuSequence(mu.values[:anchor_order + 2]), "dyson",
-                      FaberParams(delta=1.0))
+    kd = build_kernel(MuSequence(mu.values[:anchor_order + 2]), "dyson")
     return _scan(mu, grid, orders, deltas, obs, 0,
                  lambda cn, _: float(np.max(np.abs(cn - ref))),
                  (ta_grid, kd(ta_grid), ANCHOR_TOL))

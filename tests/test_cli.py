@@ -103,6 +103,28 @@ def test_correlate_from_kernel_file(tmp_path, capsys):
     assert not (tmp_path / "short").exists()
 
 
+def test_correlate_rejects_a_non_uniform_time_column(tmp_path, capsys):
+    grid = TimeGrid(dt=0.01, horizon=5.0)
+    kfile = tmp_path / "kernel.csv"
+    write_series(kfile, Series(grid, -2 * special.jv(0, grid.times)),
+                 {"streaming": 0.0}, value_name="K")
+    kser, _ = read_series(kfile, value_name="K")
+    assert kser.grid == grid and np.array_equal(kser.grid.times, grid.times)
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    cols, meta = read_columns(kfile)
+    for defect in ("scaled_rows", "shifted_start"):
+        t = cols["t"].copy()
+        if defect == "scaled_rows":
+            t[100:400] *= 3
+        else:
+            t += 0.5 * grid.dt
+        bad = tmp_path / f"{defect}_kernel.csv"
+        write_columns(bad, {"t": t, "K": cols["K"]}, meta)
+        assert main(["correlate", str(cfg), "--kernel-file", str(bad)]) == 2
+        assert f"{defect}_kernel.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _damped_pair_file(path: Path) -> Path:
     # dx/dt = -x + y, dy/dt = -x: the dissipative -x makes L non-skew, so the
     # kernel carries a streaming term Omega = <L x, x> / <x, x> = -1
@@ -185,6 +207,28 @@ def test_kl_command_from_correlation_file(tmp_path):
         assert (out / name).exists()
     assert not (out / "hmodes.csv").exists()
     assert not (out / "noise_acf.csv").exists()
+
+
+@pytest.mark.parametrize("defect", ["negative", "zero_at_origin", "non_finite"])
+def test_kl_rejects_a_correlation_that_is_not_a_variance(tmp_path, capsys, defect):
+    # cmd_kl scales the file to <u0, u0> by C(0): a negative C(0) would flip
+    # its sign into a valid-looking covariance, and C(0) = 0 divide by zero
+    grid = TimeGrid(dt=0.01, horizon=5.0)
+    c = np.exp(-grid.times)
+    if defect == "negative":
+        c = -c
+    elif defect == "zero_at_origin":
+        c = grid.times * c
+    else:
+        c[200] = np.nan
+    cfile = tmp_path / "correlation.csv"
+    write_series(cfile, Series(grid, c), {}, value_name="C")
+    # enough samples that a flipped C(0) < 0 would run through to exit 0
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       kl={"n_samples": 20000, "iters": 5, "seed": 3})
+    assert main(["kl", str(cfg), "--correlation-file", str(cfile)]) == 2
+    assert "correlation.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # a rank-2 sample of a rank-5 basis cannot reach the marginal tolerance

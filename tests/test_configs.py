@@ -1,6 +1,7 @@
 """The shipped experiment configs: their values, and the command lines
 configs/README.md documents for them, run at smoke sizes."""
 
+import contextlib
 import json
 import os
 import shlex
@@ -65,10 +66,15 @@ def test_documented_commands_run(tmp_path, monkeypatch, name):
     smoke = [arg for kv in SMOKE[name] for arg in ("--set", kv)]
     commands = documented_commands(name)
     assert commands
-    for argv in commands:
-        if argv[0] != "compare":
-            argv = [argv[0], str(ROOT / argv[1]), *argv[2:], *smoke]
-        assert main(argv) == 0, argv
+    # at smoke size the FPU run's KL sampler keeps 2 of its 5 modes, too few
+    # to reach the marginal tolerance
+    expected = (pytest.warns(RuntimeWarning, match="did not converge")
+                if name == "fpu_quartic.json" else contextlib.nullcontext())
+    with expected:
+        for argv in commands:
+            if argv[0] != "compare":
+                argv = [argv[0], str(ROOT / argv[1]), *argv[2:], *smoke]
+            assert main(argv) == 0, argv
     for rel in OUTPUTS[name]:
         assert (tmp_path / "out" / rel).stat().st_size > 0, rel
     if name == "fpu_quartic.json":

@@ -24,7 +24,6 @@ from glekit.kernels import (
     mu_sequence,
     select_kernel_by_consistency,
     select_kernel_by_reference,
-    temporal_mode,
 )
 from glekit import klmodel
 from glekit.klmodel import CLIP_TOL, kl_decompose, psd_ratio
@@ -160,32 +159,45 @@ def test_mu_matches_definition_general_case():
 
 
 def test_faber_rows_basics():
-    fp = FaberParams(c0=0, c1=Fraction(-1, 4))
-    rows = faber_polynomial_coeffs(fp, 3)
+    rows = faber_polynomial_coeffs(4)
     assert rows[0] == [1]
-    assert rows[1] == [0, 1]                      # F1 = z
-    assert rows[2] == [Fraction(1, 2), 0, 1]      # F2 = z^2 + 1/2
+    assert rows[1] == [0, 1]                                  # F1 = z
+    assert rows[2] == [Fraction(1, 2), 0, 1]                  # F2 = z^2 + 1/2
+    assert rows[3] == [0, Fraction(3, 4), 0, 1]               # z F2 + F1 / 4
+    assert rows[4] == [Fraction(1, 8), 0, 1, 0, 1]            # z F3 + F2 / 4
     for q, row in enumerate(rows):
-        assert row[q] == 1                        # monic
+        assert row[q] == 1                                    # monic
+    assert faber_polynomial_coeffs(0) == [[1]]
+    with pytest.raises(ValidationError):
+        faber_polynomial_coeffs(-1)
+
+
+def test_faber_rows_are_exact_floats():
+    # build_kernel converts each entry to float: up to n = 42 none rounds,
+    # so the kernel coefficients take no rounding from the table
+    for row in faber_polynomial_coeffs(42):
+        for c in row:
+            assert type(c) in (int, Fraction)
+            assert Fraction(float(c)) == c
 
 
 def test_faber_generating_identity_pins_convention():
-    # e^{tz} = sum_q g_q(t) F_q(z) on the segment c0 + iy, |y| <= 2 sqrt(-c1);
-    # truncation error decreases with order and vanishes, which pins the
-    # -2c1 anomaly of F2 against the Bessel temporal modes.
-    fp = FaberParams(c0=0.0, c1=-0.25)
-    rows = faber_polynomial_coeffs(fp, 31)
+    # e^{tz} = sum_q g_q(t) F_q(z) on the segment iy, |y| <= 1; truncation
+    # error decreases with order and vanishes, which pins the 1/2 of F2
+    # against the Bessel temporal modes.
+    rows = faber_polynomial_coeffs(31)
     ys = np.linspace(-1.0, 1.0, 20)
     for t in (1.0, 5.0):
+        modes = _mode_table("faber", 30, t)
         prev = None
         for n in (5, 10, 15, 20, 25, 30):
             err = 0.0
             for y in ys:
-                z = fp.c0 + 1j * y
+                z = 1j * y
                 total = 0j
                 for q in range(n + 1):
                     fq = sum(c * z**j for j, c in enumerate(rows[q]))
-                    total += temporal_mode(fp, q, t) * fq
+                    total += modes[q] * fq
                 err = max(err, abs(np.exp(t * z) - total))
             if prev is not None:
                 # monotone down to the roundoff floor
@@ -195,14 +207,14 @@ def test_faber_generating_identity_pins_convention():
 
 
 def test_temporal_modes():
-    assert temporal_mode("dyson", 3, 2.0) == pytest.approx(8 / 6)
-    fp = FaberParams(c0=0.0, c1=-1.0)
+    assert _mode_table("dyson", 3, 2.0)[3] == pytest.approx(8 / 6)
     for t in (0.3, 1.7):
-        assert temporal_mode(fp, 0, t) == pytest.approx(special.jv(0, 2 * t))
-    assert temporal_mode(fp, 3, 0.0) == 0.0
-    assert temporal_mode(fp, 0, 0.0) == 1.0
+        assert _mode_table("faber", 0, t)[0] == pytest.approx(special.jv(0, t))
+        assert _mode_table("faber", 3, t)[3] == pytest.approx(8 * special.jv(3, t))
+    assert _mode_table("faber", 3, 0.0)[3] == 0.0
+    assert _mode_table("faber", 0, 0.0)[0] == 1.0
     with pytest.raises(ValidationError):
-        temporal_mode(FaberParams(c0=0.0, c1=0.25), 1, 1.0)
+        _mode_table("chebyshev", 1, 1.0)
 
 
 # The per-mode formula, one jv call per order, and the term-by-term loop that
@@ -210,9 +222,8 @@ def test_temporal_modes():
 
 def _reference_mode(basis, q, t):
     t = np.asarray(t, dtype=float)
-    if isinstance(basis, FaberParams):
-        rho = math.sqrt(-float(basis.c1))
-        return np.exp(t * float(basis.c0)) * special.jv(q, 2.0 * t * rho) / rho**q
+    if basis == "faber":
+        return 2.0**q * special.jv(q, t)
     return t**q / math.factorial(q)
 
 
@@ -226,17 +237,16 @@ def _reference_kernel_eval(k, t, mode):
 
 
 @pytest.mark.parametrize("basis,fp", [
-    ("faber", FaberParams(c0=0.0, c1=-0.25, delta=0.35)),
-    ("faber", FaberParams(c0=-0.3, c1=-0.6, delta=0.8)),
+    ("faber", FaberParams(delta=0.35)),
+    ("faber", FaberParams(delta=0.8)),
     ("dyson", FaberParams(delta=0.5)),
 ])
 def test_kernel_eval_mode_table_matches_term_loop(basis, fp):
     k = build_kernel(MuSequence(tuple(np.random.default_rng(3).standard_normal(22))),
                      basis, fp)
-    mode_basis = fp if basis == "faber" else "dyson"
     for t in (0.0, 1.3, np.linspace(0.0, 6.0, 301)):
         tau = np.asarray(t, dtype=float) / k.delta
-        table = _mode_table(mode_basis, k.order, tau)
+        table = _mode_table(basis, k.order, tau)
         # blocking and the running sum add exactly as a loop over the table's rows
         new = kernel_eval(k, t)
         ref = _reference_kernel_eval(k, t, lambda q, _: table[q])
@@ -244,14 +254,12 @@ def test_kernel_eval_mode_table_matches_term_loop(basis, fp):
         assert np.array_equal(new, ref)
         # the recurrence's rows agree with per-order jv to 1e-13 of their sup
         for q in range(k.order + 1):
-            exact = _reference_mode(mode_basis, q, tau)
+            exact = _reference_mode(basis, q, tau)
             assert np.max(np.abs(table[q] - exact)) <= 1e-13 * np.max(np.abs(exact))
         # the top row is a jv seed
         for q in (0, 1, 7, k.order):
-            assert np.array_equal(temporal_mode(mode_basis, q, tau),
-                                  _reference_mode(mode_basis, q, tau))
-    with pytest.raises(ValidationError):
-        temporal_mode(FaberParams(c1=0.25), 1, 1.0)
+            assert np.array_equal(_mode_table(basis, q, tau)[q],
+                                  _reference_mode(basis, q, tau))
 
 
 def test_dyson_kernel_taylor_series():
@@ -274,7 +282,7 @@ def test_kernel_at_zero_is_mu2():
 
 def test_faber_order_zero_coefficient():
     mu = MuSequence((0.0, -2.0))
-    fp = FaberParams(c0=0.0, c1=-0.25, delta=0.5)
+    fp = FaberParams(delta=0.5)
     k = build_kernel(mu, basis="faber", fp=fp)
     assert k.order == 0
     assert k.coeffs[0] == pytest.approx(0.5**2 * -2.0)
@@ -367,7 +375,6 @@ def test_estimate_scaling_harmonic_values():
     fp = estimate_scaling(gam)
     # max(2^(1/2), 6^(1/4), 20^(1/6)) = 20^(1/6)
     assert fp.delta == pytest.approx(20 ** (-1 / 6))
-    assert fp.c0 == 0.0 and fp.c1 == -0.25
 
 
 def test_estimate_scaling_caps_at_one():
@@ -429,7 +436,8 @@ def test_consistency_selector_rejects_indefinite_best(quartic_selection):
     mus, obs, grid, indefinite = quartic_selection
     c_bad = solve_correlation(indefinite.streaming, indefinite, grid)
     assert psd_ratio(c_bad) < -CLIP_TOL
-    lower = build_kernel(MuSequence(mus.values[:6]), "faber", indefinite.faber, obs)
+    lower = build_kernel(MuSequence(mus.values[:6]), "faber",
+                         FaberParams(delta=indefinite.delta), obs)
     c_lower = solve_correlation(lower.streaming, lower, grid)
     bad_gap = float(np.max(np.abs(c_bad.values - c_lower.values)))
     kern, diag = select_kernel_by_consistency(
@@ -488,7 +496,7 @@ def test_scan_winner_is_its_truncation_built_alone(quartic_selection, select):
     alone = build_kernel(MuSequence(mus.values[:n + 2]), "faber", FaberParams(delta=d), obs)
     assert (kern.coeffs, kern.order, kern.delta, kern.streaming) == \
         (alone.coeffs, alone.order, alone.delta, alone.streaming)
-    assert (kern.basis, kern.faber) == ("faber", alone.faber)
+    assert kern.basis == alone.basis == "faber"
 
 
 def test_selector_error_names_rejection_reasons(quartic_selection):
