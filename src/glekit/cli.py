@@ -119,15 +119,8 @@ def cmd_correlate(cfg: ExperimentConfig, kernel_file: str | None = None) -> int:
     out = Path(cfg.output_dir)
     grid = _grid(cfg)
     if kernel_file:
-        kser, meta_in = read_series(kernel_file, value_name="K")
-        omega = float(meta_in.get("streaming", 0.0))
-        if grid.horizon > kser.grid.horizon + 1e-9 * grid.dt:
-            raise ValidationError(f"{kernel_file} tabulates K only to t = "
-                                  f"{kser.grid.horizon:g}, short of the grid's {grid.horizon:g}")
-        if kser.grid != grid:
-            kvals = np.interp(grid.times, kser.grid.times, kser.values)
-            kser = Series(grid, kvals)
-        corr = solve_correlation(omega, kser, grid)
+        kser, meta_in = read_series(kernel_file, value_name="K", grid=grid)
+        corr = solve_correlation(float(meta_in.get("streaming", 0.0)), kser, grid)
         explained = {}
     else:
         _, _, obs, gam, mu, kernel, explained = _kernel_pipeline(cfg)
@@ -165,11 +158,9 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
     out = Path(cfg.output_dir)
     grid = _grid(cfg)
     if correlation_file:
-        corr, _ = read_series(correlation_file, value_name="C")
-        if not (np.all(np.isfinite(corr.values)) and corr.values[0] > 0):
-            raise ValidationError(f"{correlation_file}: C must be finite with C(0) > 0")
-        if corr.grid != grid:
-            raise ValidationError("correlation file grid differs from config grid")
+        corr, _ = read_series(correlation_file, value_name="C", grid=grid)
+        if not corr.values[0] > 0:
+            raise ValidationError(f"{correlation_file}: C must have C(0) > 0")
         system, measure, obs = _build_context(cfg)
         kernel, explained = None, {}
         corr_raw = Series(grid, corr.values * (float(obs.gram) / corr.values[0]))
@@ -238,27 +229,22 @@ def cmd_compare(file_a: str, file_b: str, max_sup: float | None,
                 report_path: str | None) -> int:
     sa, _ = read_series(file_a)
     sb, _ = read_series(file_b)
-    ta, tb = sa.grid.times, sb.grid.times
-    lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
-    mask = (ta >= lo) & (ta <= hi)
-    if not np.any(mask):
-        raise ValidationError("the two series do not overlap in time")
-    t = ta[mask]
-    va = sa.values[mask]
-    vb = np.interp(t, tb, sb.values)
-    diff = va - vb
+    if not np.isclose(sa.grid.dt, sb.grid.dt, rtol=1e-9, atol=0.0):
+        raise ValidationError(f"{file_a} (dt = {sa.grid.dt:g}) and {file_b} "
+                              f"(dt = {sb.grid.dt:g}) are not on one grid")
+    n = min(len(sa), len(sb))  # both grids start at t = 0
+    t = sa.grid.times[:n]
+    diff = sa.values[:n] - sb.values[:n]
     sup = float(np.max(np.abs(diff)))
-    l2 = float(np.sqrt(np.trapezoid(diff**2, t) / (t[-1] - t[0]))) if len(t) > 1 \
-        else abs(float(diff[0]))
-    report = {"files": [str(file_a), str(file_b)], "overlap": [lo, hi],
-              "points": int(len(t)), "sup": sup, "l2": l2}
+    l2 = float(np.sqrt(np.trapezoid(diff**2, t) / t[-1]))
+    report = {"files": [str(file_a), str(file_b)], "overlap": [0.0, float(t[-1])],
+              "points": n, "sup": sup, "l2": l2}
     se = None
     if sa.se is not None or sb.se is not None:
         var = np.zeros_like(t)
-        if sa.se is not None:
-            var = var + sa.se[mask] ** 2
-        if sb.se is not None:
-            var = var + np.interp(t, tb, sb.se) ** 2
+        for series in (sa, sb):
+            if series.se is not None:
+                var = var + series.se[:n] ** 2
         se = np.sqrt(var)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(se > 0, np.abs(diff) / se, np.inf * np.abs(np.sign(diff)))
@@ -291,11 +277,13 @@ def _parser() -> argparse.ArgumentParser:
     add_config_cmd("kernel", "compute gamma/mu tables and the memory kernel")
     p = add_config_cmd("correlate", "solve the correlation GLE")
     p.add_argument("--kernel-file", default=None,
-                   help="tabulated kernel CSV (default: inline pipeline)")
+                   help="tabulated kernel CSV on the config's grid: the same dt and "
+                        "node count (default: inline pipeline)")
     add_config_cmd("mc", "Monte-Carlo ground-truth auto-correlation")
     p = add_config_cmd("kl", "KL bundle and sampled-path auto-correlations")
     p.add_argument("--correlation-file", default=None,
-                   help="correlation CSV (default: inline first-principles pipeline)")
+                   help="correlation CSV on the config's grid: the same dt and node "
+                        "count (default: inline first-principles pipeline)")
 
     p = sub.add_parser("compare", help="align two series files and report errors")
     p.add_argument("file_a")

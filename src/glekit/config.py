@@ -13,7 +13,7 @@ from . import __version__
 from .errors import ValidationError
 from .io import _json_default
 from .poly import DEFAULT_TERM_CAP
-from .systems import BUILTIN_SYSTEMS, PolySystem, load_system
+from .systems import BUILTIN_SYSTEMS, PolySystem, displacement_index, load_system, momentum_index
 
 
 def _read(cls, section: str, data):
@@ -66,6 +66,9 @@ class SystemConfig:
         if self.name is not None and self.name not in BUILTIN_SYSTEMS:
             raise ValidationError(
                 f"unknown system {self.name!r}; choose from {sorted(BUILTIN_SYSTEMS)}")
+        if self.name == "harmonic_chain" and self.beta1 != 0:
+            raise ValidationError("system.beta1 must be 0 for harmonic_chain; "
+                                  "fpu_chain has the quartic coupling")
 
     def build(self) -> PolySystem:
         if self.file is not None:
@@ -110,9 +113,8 @@ class ObservableConfig:
             return self.var
         if not system.is_chain:
             raise ValidationError("field/site observables need a chain system")
-        n = system.params["n_sites"]
-        j = self.site % n
-        return j if self.field == "r" else n + j
+        index = displacement_index if self.field == "r" else momentum_index
+        return index(system, self.site)
 
 
 @dataclass

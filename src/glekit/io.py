@@ -76,7 +76,13 @@ def write_series(path, series: Series, meta: dict | None = None,
     write_columns(path, cols, m)
 
 
-def read_series(path, value_name: str | None = None):
+def read_series(path, value_name: str | None = None, grid: TimeGrid | None = None):
+    """The series of a file written by :func:`write_series`, and its metadata.
+
+    The t column must be a uniform grid t_i = i * dt from 0, within 1e-9
+    relative; given ``grid``, it must hold that grid's nodes, and the series
+    comes back on ``grid``.  Values and standard errors must be finite.
+    """
     cols, meta = read_columns(path)
     if value_name is None:
         value_name = next((n for n in cols if n not in ("t", "se")), "value")
@@ -84,13 +90,19 @@ def read_series(path, value_name: str | None = None):
         if name not in cols:
             raise ValidationError(f"{path} has no {name!r} column")
     t = cols["t"]
-    if len(t) < 2:
-        raise ValidationError(f"{path} needs at least two rows")
-    dt = float(t[1] - t[0])
-    if t[0] != 0 or not dt > 0 or not np.allclose(
-            t, np.arange(len(t)) * dt, rtol=1e-9, atol=1e-9 * dt):
-        raise ValidationError(f"{path}: the t column is not a uniform grid "
-                              f"t_i = i * dt from 0")
-    grid = TimeGrid(dt=dt, horizon=float(t[-1]))
+    if grid is None:
+        if len(t) < 2:
+            raise ValidationError(f"{path} needs at least two rows")
+        dt, n = float(t[1] - t[0]), len(t)
+    else:
+        dt, n = grid.dt, grid.n_nodes
+    if not (dt > 0 and len(t) == n and np.allclose(
+            t, np.arange(n) * dt, rtol=1e-9, atol=1e-9 * dt)):
+        want = ("a uniform grid t_i = i * dt from 0" if grid is None else
+                f"the config grid, dt = {dt:g} on [0, {grid.horizon:g}] ({n} nodes)")
+        raise ValidationError(f"{path}: its t column ({len(t)} rows from {t[0]:g} "
+                              f"to {t[-1]:g}) is not {want}")
     se = cols.get("se")
-    return Series(grid, cols[value_name], se=se), meta
+    if not all(np.all(np.isfinite(c)) for c in (cols[value_name], se) if c is not None):
+        raise ValidationError(f"{path} has non-finite values")
+    return Series(grid or TimeGrid(dt=dt, horizon=float(t[-1])), cols[value_name], se=se), meta

@@ -32,8 +32,10 @@ CERT_MARGIN = 1e-6
 SCRATCH = 1 << 19
 # sample paths whose ACF the sampler compares against the target
 ACF_CHECK_ROWS = 20000
-# the sampler may stop early once that ACF is within ACF_TOL of lag 0
+# the sampler may stop early once that ACF is within ACF_TOL of lag 0, and
+# its marginal quantile and tail-moment errors are within MARGINAL_TOL
 ACF_TOL = 0.05
+MARGINAL_TOL = 0.01
 
 
 @dataclass
@@ -49,10 +51,6 @@ class KLBasis:
     @property
     def rank(self) -> int:
         return len(self.eigenvalues)
-
-    def reconstruct_covariance(self) -> np.ndarray:
-        lam = self.eigenvalues
-        return (self.modes * lam) @ self.modes.T
 
 
 @dataclass(frozen=True)
@@ -136,14 +134,13 @@ def proves_not_psd(c: Series, layout: NystromLayout) -> bool:
     return dpotrf(b.T, lower=1, clean=0, overwrite_a=1)[1] > 0
 
 
-def kl_decompose(c: Series, kmax: int | None = None,
-                 energy_floor: float = ENERGY_FLOOR) -> KLBasis:
+def kl_decompose(c: Series) -> KLBasis:
     """Nystrom KL decomposition of a stationary auto-correlation series.
 
     Builds the kernel matrix C(|t_i - t_j|), symmetrizes with square-root
     trapezoid weights, solves the dense eigenproblem and rescales the
-    eigenvectors to continuous L2 orthonormality.  Modes below the relative
-    energy floor (or beyond ``kmax``) are dropped.  Negative eigenvalues up
+    eigenvectors to continuous L2 orthonormality.  Modes below
+    ``ENERGY_FLOOR`` of the leading eigenvalue are dropped.  Negative eigenvalues up
     to ``CLIP_TOL`` of the leading one (roundoff, or mild model error in an
     approximate correlation) are clipped at zero; anything worse is rejected
     as an invalid covariance.
@@ -163,9 +160,7 @@ def kl_decompose(c: Series, kmax: int | None = None,
     lam, y = lam[::-1], y[:, ::-1]
     trace_discrete = float(np.sum(np.clip(lam, 0.0, None)))
     lam = np.clip(lam, 0.0, None)
-    keep = lam > energy_floor * lam[0]
-    if kmax is not None:
-        keep[kmax:] = False
+    keep = lam > ENERGY_FLOOR * lam[0]
     lam = lam[keep]
     modes = y[:, keep] / layout.sw[:, None]
     # deterministic sign: largest-magnitude component positive
@@ -180,18 +175,14 @@ def kl_decompose(c: Series, kmax: int | None = None,
 @dataclass(frozen=True)
 class GaussianMarginal:
     mean: float = 0.0
-    var: float = 1.0
+    variance: float = 1.0
 
     def __post_init__(self):
-        if self.var <= 0:
+        if self.variance <= 0:
             raise ValidationError("marginal variance must be positive")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        return self.mean + math.sqrt(self.var) * special.ndtri(u)
-
-    @property
-    def variance(self) -> float:
-        return self.var
+        return self.mean + math.sqrt(self.variance) * special.ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,6 @@ class SampleEnsemble:
     basis: KLBasis
     xi: np.ndarray                  # (samples, K)
     paths: np.ndarray               # (samples, n_nodes)
-    seed: object
     marginal_error: float
     moment_error: float
     acf_error: float
@@ -292,7 +282,7 @@ def _sampling_truncation(basis: KLBasis, n_samples: int) -> KLBasis:
 
 
 def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
-                    seed=None, marginal_tol: float = 0.01) -> SampleEnsemble:
+                    seed=None) -> SampleEnsemble:
     """Draw KL amplitude samples consistent with a target one-time marginal.
 
     Iterates: build paths from xi; rank-remap the values at every grid time
@@ -301,7 +291,7 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     variance.  Stops early once three errors are small: the marginal quantile
     error at the 1%-99% probes and the tail-moment error (largest relative
     mismatch of the even central moments up to the 8th between the pooled
-    path values and the target quantiles) below ``marginal_tol``, and the ACF
+    path values and the target quantiles) below ``MARGINAL_TOL``, and the ACF
     error below ``ACF_TOL``.  The tail check matters because the probes miss
     the tails that carry the lag-0 values of higher-order ACFs.  Otherwise it
     finishes the ``iters`` sweeps and reports a warning status.  The returned
@@ -352,7 +342,7 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
         _build_paths(basis, xi, paths)
         history.append({"marginal_error": marg_err, "moment_error": mom_err,
                         "acf_error": acf_err})
-        converged = (max(marg_err, mom_err) <= marginal_tol
+        converged = (max(marg_err, mom_err) <= MARGINAL_TOL
                      and acf_err <= ACF_TOL)
         if converged:
             break
@@ -362,8 +352,7 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
             f"(marginal error {marg_err:.3g}, tail-moment error {mom_err:.3g}, "
             f"ACF error {acf_err:.3g})",
             RuntimeWarning, stacklevel=2)
-    return SampleEnsemble(basis=basis, xi=xi, paths=paths,
-                          seed=seed, marginal_error=marg_err,
+    return SampleEnsemble(basis=basis, xi=xi, paths=paths, marginal_error=marg_err,
                           moment_error=mom_err, acf_error=acf_err,
                           converged=converged, iterations=it, history=history)
 

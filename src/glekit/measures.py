@@ -112,8 +112,6 @@ class QuarticGibbs(Density1D):
     def _moment(self, m: int):
         if m % 2 == 1:
             return 0
-        if self.beta1 == 0:
-            return Gaussian(self.gamma * self.alpha1).moment(m)
         a = self._domain(m)
         logpdf = self._logpdf()
         weight = lambda x: np.exp(logpdf(x))

@@ -24,7 +24,6 @@ class PolySystem:
 
     operator: LiouvilleOperator
     names: tuple[str, ...]
-    kind: str = "custom"
     params: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -35,12 +34,6 @@ class PolySystem:
     def is_chain(self) -> bool:
         """Built-in chains, and only they, carry their chain parameters."""
         return "n_sites" in self.params
-
-    def variable(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown variable name {name!r}") from None
 
 
 def _coerce_coeff(x):
@@ -56,7 +49,7 @@ def kraichnan_orszag() -> PolySystem:
         (1, Polynomial([({1: 1, 2: 1}, -1)])),
         (2, Polynomial([({1: 2}, 1), ({0: 2}, -1)])),
     ])
-    return PolySystem(op, ("x1", "x2", "x3"), kind="kraichnan_orszag")
+    return PolySystem(op, ("x1", "x2", "x3"))
 
 
 def fpu_chain(n_sites: int, alpha1=1, beta1=0, mass=1) -> PolySystem:
@@ -84,16 +77,13 @@ def fpu_chain(n_sites: int, alpha1=1, beta1=0, mass=1) -> PolySystem:
             rhs += [({r(j + 1): 3}, b1), ({r(j): 3}, -b1)]
         terms.append((p(j), Polynomial(rhs)))
     names = tuple(f"r{j}" for j in range(n)) + tuple(f"p{j}" for j in range(n))
-    return PolySystem(
-        LiouvilleOperator(2 * n, terms), names, kind="fpu_chain",
-        params={"n_sites": n, "alpha1": a1, "beta1": b1, "mass": m})
+    return PolySystem(LiouvilleOperator(2 * n, terms), names,
+                      params={"n_sites": n, "alpha1": a1, "beta1": b1, "mass": m})
 
 
 def harmonic_chain(n_sites: int, alpha1=1, mass=1) -> PolySystem:
     """Harmonic chain: the quartic coupling of :func:`fpu_chain` switched off."""
-    sys = fpu_chain(n_sites, alpha1=alpha1, beta1=0, mass=mass)
-    return PolySystem(sys.operator, sys.names, kind="harmonic_chain",
-                      params=sys.params)
+    return fpu_chain(n_sites, alpha1=alpha1, beta1=0, mass=mass)
 
 
 def displacement_index(system: PolySystem, j: int) -> int:
@@ -181,4 +171,4 @@ def load_system(path) -> PolySystem:
         if unknown:
             raise ValidationError(f"unknown term keys {sorted(unknown)}")
         terms.append((int(entry["target"]), _poly_from_json(entry["rhs"], dim)))
-    return PolySystem(LiouvilleOperator(dim, terms), names, kind="file")
+    return PolySystem(LiouvilleOperator(dim, terms), names)

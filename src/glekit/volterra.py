@@ -118,10 +118,10 @@ def _march(k: np.ndarray, omega, x0, dt: float, forcing) -> np.ndarray:
     return x
 
 
-def solve_correlation(omega: float, kernel, grid: TimeGrid, c0: float = 1.0) -> Series:
-    """Integrate dC/dt = Omega C + int_0^t K(t-s) C(s) ds with C(0) = c0."""
+def solve_correlation(omega: float, kernel, grid: TimeGrid) -> Series:
+    """Integrate dC/dt = Omega C + int_0^t K(t-s) C(s) ds with C(0) = 1."""
     k = _sample_kernel(kernel, grid)
-    c = _march(k, omega, c0, grid.dt, np.zeros(grid.n_nodes))
+    c = _march(k, omega, 1.0, grid.dt, np.zeros(grid.n_nodes))
     if not np.all(np.isfinite(c)):
         raise NumericError("Volterra march produced non-finite values")
     return Series(grid, c)

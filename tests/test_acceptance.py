@@ -12,6 +12,7 @@ integrated flow, see tests/test_poly.py) agree.  The criterion holds with 21.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,6 @@ from glekit.kernels import (
     build_kernel,
     estimate_scaling,
     gamma_sequence,
-    linear_gamma,
-    liouville_to_matrix,
     mu_sequence,
     select_kernel_by_consistency,
     select_kernel_by_reference,
@@ -51,6 +50,7 @@ from glekit.volterra import (
     solve_correlation,
     solve_fluctuation_modes,
 )
+from oracles import linear_gamma, liouville_to_matrix
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -239,7 +239,7 @@ def test_c08_kl_fidelity():
     trace_err = abs(basis.trace_discrete - grid.horizon * 1.0) / (grid.horizon * 1.0)
 
     egrid = TimeGrid(dt=1e-3, horizon=1.0)
-    ebasis = kl_decompose(Series(egrid, np.exp(-egrid.times)), kmax=6)
+    ebasis = kl_decompose(Series(egrid, np.exp(-egrid.times)))
     eps = 1e-9
     roots = []
     k = 0
@@ -252,9 +252,9 @@ def test_c08_kl_fidelity():
         k += 1
     ws = np.sort(np.array(roots))[:6]
     lam_exact = 2.0 / (1.0 + ws**2)
-    eig_err = float(np.max(np.abs(ebasis.eigenvalues - lam_exact) / lam_exact))
+    eig_err = float(np.max(np.abs(ebasis.eigenvalues[:6] - lam_exact) / lam_exact))
 
-    rec = basis.reconstruct_covariance()
+    rec = (basis.modes * basis.eigenvalues) @ basis.modes.T
     n = basis.grid.n_nodes
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     cov = basis.source_acf[idx]
@@ -306,10 +306,12 @@ def test_c09_higher_order_acfs(quartic_benchmark):
 def test_c10_rank_convergence(quartic_benchmark, monkeypatch):
     system, measure, obs, kern, corr, mc1, params = quartic_benchmark
     gram = float(obs.gram)
-    basis = kl_decompose(Series(corr.grid, corr.values * gram), kmax=64,
-                         energy_floor=0.0)
-    # the ranks compared reach 64, past the modes the sampler's rank remap
-    # identifies at 30,000 samples, so the whole basis is sampled
+    # the ranks compared reach 64: the basis is cut to 64 modes with no
+    # energy floor and sampled whole, past the modes the sampler's rank
+    # remap identifies at 30,000 samples
+    monkeypatch.setattr(klmodel, "ENERGY_FLOOR", 0.0)
+    full = kl_decompose(Series(corr.grid, corr.values * gram))
+    basis = replace(full, eigenvalues=full.eigenvalues[:64], modes=full.modes[:, :64].copy())
     monkeypatch.setattr(klmodel, "_sampling_truncation", lambda b, n_samples: b)
     ens = sample_ensemble(basis, DensityMarginal(measure.density(50)),
                           30_000, seed=12)

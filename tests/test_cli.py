@@ -125,6 +125,19 @@ def test_correlate_rejects_a_non_uniform_time_column(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_correlate_rejects_a_non_finite_kernel(tmp_path, capsys):
+    # bad input, not a numeric failure of the solve
+    grid = TimeGrid(dt=0.01, horizon=5.0)
+    kvals = -2 * special.jv(0, grid.times)
+    kvals[250] = np.nan
+    kfile = tmp_path / "nan_kernel.csv"
+    write_series(kfile, Series(grid, kvals), {"streaming": 0.0}, value_name="K")
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    assert main(["correlate", str(cfg), "--kernel-file", str(kfile)]) == 2
+    assert "nan_kernel.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _damped_pair_file(path: Path) -> Path:
     # dx/dt = -x + y, dy/dt = -x: the dissipative -x makes L non-skew, so the
     # kernel carries a streaming term Omega = <L x, x> / <x, x> = -1
@@ -207,6 +220,40 @@ def test_kl_command_from_correlation_file(tmp_path):
         assert (out / name).exists()
     assert not (out / "hmodes.csv").exists()
     assert not (out / "noise_acf.csv").exists()
+
+
+@pytest.mark.parametrize("horizon, dt", [(2.3, 0.01), (0.3, 0.1)])
+def test_kl_reads_the_correlation_that_correlate_wrote(tmp_path, horizon, dt):
+    # the last t written is (n - 1) * dt, 2.3000000000000003 and
+    # 0.30000000000000004 here, not the config's horizon
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "corr"),
+                       grid={"horizon": horizon, "dt": dt},
+                       kl={"n_samples": 3000, "iters": 4, "seed": 5})
+    assert main(["correlate", str(cfg)]) == 0
+    corr = tmp_path / "corr" / "correlation.csv"
+    assert read_columns(corr)[0]["t"][-1] != horizon
+    out = tmp_path / "out"
+    assert main(["kl", str(cfg), "--set", f"output_dir={out}",
+                 "--correlation-file", str(corr)]) == 0
+    assert (out / "modes.csv").exists()
+
+
+@pytest.mark.parametrize("command, dt, horizon", [
+    ("correlate", 1e-3, 5.0), ("correlate", 0.01, 10.0), ("kl", 0.01, 4.0)])
+def test_input_file_off_the_config_grid(tmp_path, capsys, command, dt, horizon):
+    # the config grid is dt = 0.01 on [0, 5]; a file on another grid is
+    # neither interpolated nor cut, but rejected with both grids named
+    grid = TimeGrid(dt=dt, horizon=horizon)
+    table = tmp_path / "table.csv"
+    write_series(table, Series(grid, np.exp(-grid.times)), {},
+                 value_name="K" if command == "correlate" else "C")
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    flag = "--kernel-file" if command == "correlate" else "--correlation-file"
+    assert main([command, str(cfg), flag, str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "table.csv" in err and f"({grid.n_nodes} rows from 0 to {horizon:g})" in err
+    assert "dt = 0.01 on [0, 5] (501 nodes)" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("defect", ["negative", "zero_at_origin", "non_finite"])
@@ -301,6 +348,22 @@ def test_compare_file_without_values_exit_code(tmp_path, capsys):
     assert "se_only.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("defect", ["non_finite", "other_dt"])
+def test_compare_rejects_a_series_it_cannot_gate(tmp_path, capsys, defect):
+    grid = TimeGrid(dt=0.01, horizon=1.0)
+    write_series(tmp_path / "a.csv", Series(grid, np.ones(grid.n_nodes)), {})
+    if defect == "non_finite":
+        values = np.ones(grid.n_nodes)
+        values[50] = np.nan
+    else:  # compared node by node, not interpolated
+        grid = TimeGrid(dt=0.02, horizon=1.0)
+        values = np.ones(grid.n_nodes)
+    write_series(tmp_path / "bad.csv", Series(grid, values), {})
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "bad.csv"),
+                 "--max-sup", "0.5"]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
 def test_determinism_same_seed_identical_files(tmp_path):
     cfg_a = write_config(tmp_path / "a.json", output_dir=str(tmp_path / "outA"))
     cfg_b = write_config(tmp_path / "b.json", output_dir=str(tmp_path / "outB"))
@@ -330,7 +393,8 @@ def test_set_overrides_and_validation(tmp_path):
 @pytest.mark.parametrize("override", [
     "grid=5", "kernel.order=abc", "grid.dt=abc", "gamma=abc", "system.n_sites=abc",
     "mc.n_samples=abc", "kernel.order=1.5", "kernel.skew=1", "output_dir=3",
-    "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0"])
+    "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0",
+    "system.beta1=1.0"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg), "--set", override]) == 2

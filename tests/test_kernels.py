@@ -19,8 +19,6 @@ from glekit.kernels import (
     faber_polynomial_coeffs,
     gamma_sequence,
     kernel_eval,
-    linear_gamma,
-    liouville_to_matrix,
     mu_sequence,
     select_kernel_by_consistency,
     select_kernel_by_reference,
@@ -38,6 +36,7 @@ from glekit.poly import LiouvilleOperator, Polynomial, apply_liouville
 from glekit import kernels as kernels_module
 from glekit.systems import fpu_chain, harmonic_chain, momentum_index
 from glekit.volterra import TimeGrid, solve_correlation
+from oracles import linear_gamma, liouville_to_matrix
 
 HARMONIC_GAMMA = (0, -2, 0, 6, 0, -20)  # Taylor derivatives of J0(2t) at 0
 
@@ -402,6 +401,12 @@ def test_skew_flag_validates_odd_entries():
 def test_build_kernel_needs_two_mus():
     with pytest.raises(ValidationError):
         build_kernel(MuSequence((0.0,)))
+
+
+def test_streaming_term_is_mu1_whatever_delta():
+    # Omega = mu_1 in physical time, stored as is rather than scaled by delta
+    kern = build_kernel(MuSequence((Fraction(-1, 5), -2, 0, 1)), fp=FaberParams(delta=0.35))
+    assert kern.streaming == -0.2
 
 
 @pytest.fixture(scope="module")

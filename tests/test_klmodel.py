@@ -79,15 +79,15 @@ def exponential_kernel_eigenvalues(n: int) -> np.ndarray:
 def test_exponential_kernel_eigenvalues():
     grid = TimeGrid(dt=1e-3, horizon=1.0)
     c = Series(grid, np.exp(-grid.times))
-    basis = kl_decompose(c, kmax=6)
+    basis = kl_decompose(c)
     target = exponential_kernel_eigenvalues(6)
-    rel = np.abs(basis.eigenvalues - target) / target
+    rel = np.abs(basis.eigenvalues[:6] - target) / target
     assert np.max(rel) < 1e-4
 
 
 def test_mercer_reconstruction(harmonic_basis):
     basis = harmonic_basis
-    rec = basis.reconstruct_covariance()
+    rec = (basis.modes * basis.eigenvalues) @ basis.modes.T
     n = basis.grid.n_nodes
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     cov = basis.source_acf[idx]
@@ -200,12 +200,13 @@ def test_gaussian_marginal_is_fixed_point(harmonic_basis):
     assert np.mean(flat**4) == pytest.approx(3.0, abs=5 * math.sqrt(96 / len(flat)))
 
 
-def test_xi_whitening(harmonic_basis):
+def test_xi_whitening(harmonic_basis, monkeypatch):
     # modes below the rank-remap identifiability floor pick up correlated
     # remap noise, so the whitening statement applies to a basis cut at
     # 5e-3 of the leading eigenvalue
     grid = harmonic_basis.grid
-    basis = kl_decompose(Series(grid, harmonic_basis.source_acf), energy_floor=5e-3)
+    monkeypatch.setattr(klmodel, "ENERGY_FLOOR", 5e-3)
+    basis = kl_decompose(Series(grid, harmonic_basis.source_acf))
     ens = sample_ensemble(basis, GaussianMarginal(0.0, 1.0), 30_000, seed=3)
     s = ens.n_samples
     corr = ens.xi.T @ ens.xi / s
@@ -270,7 +271,7 @@ def _sample_ensemble_reference(basis, marginal, n_samples, iters, seed,
 
 
 @pytest.mark.parametrize("marginal_tol, iters", [(0.0, 4), (0.02, 10)])
-def test_sample_ensemble_matches_per_sweep_rebuild(marginal_tol, iters):
+def test_sample_ensemble_matches_per_sweep_rebuild(marginal_tol, iters, monkeypatch):
     density = QuarticGibbs(40.0, 1.0, 1.0)
     marginal = DensityMarginal(density)
     grid = TimeGrid(dt=0.05, horizon=4.0)
@@ -278,10 +279,10 @@ def test_sample_ensemble_matches_per_sweep_rebuild(marginal_tol, iters):
     xi, paths, marg_err, mom_err, acf_err, it = _sample_ensemble_reference(
         basis, marginal, 3000, iters, 17, marginal_tol, klmodel.ACF_TOL)
     assert it >= 2
+    monkeypatch.setattr(klmodel, "MARGINAL_TOL", marginal_tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ens = sample_ensemble(basis, marginal, 3000, iters=iters, seed=17,
-                              marginal_tol=marginal_tol)
+        ens = sample_ensemble(basis, marginal, 3000, iters=iters, seed=17)
     np.testing.assert_array_equal(ens.xi, xi)
     np.testing.assert_array_equal(ens.paths, paths)
     assert (ens.marginal_error, ens.moment_error, ens.acf_error) == (marg_err, mom_err, acf_err)
@@ -304,14 +305,15 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_sampler_memory_is_paths_plus_fixed_scratch():
+def test_sampler_memory_is_paths_plus_fixed_scratch(monkeypatch):
     # one paths buffer serves every sweep; the ranks, the moment sums, the
     # FFT ACF and the pooled quantiles add only blocks of SCRATCH values
     basis, marginal = _quartic_basis(0.025, 10.0)
+    monkeypatch.setattr(klmodel, "MARGINAL_TOL", 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ens, peak = _traced_peak(sample_ensemble, basis, marginal, 20_000, iters=2,
-                                 seed=41, marginal_tol=0.0)
+                                 seed=41)
     assert ens.paths.shape == (20_000, 401) and ens.iterations == 2
     # the amplitudes and their standardization temporaries are (samples, K)
     budget = 8 * klmodel.SCRATCH * 8 + 4 * ens.xi.nbytes
@@ -326,7 +328,7 @@ def test_higher_order_acf_memory_does_not_grow_with_rows():
     for rows in (4_000, 20_000):
         ens = klmodel.SampleEnsemble(basis, np.zeros((rows, 1)),
                                      rng.standard_normal((rows, grid.n_nodes)),
-                                     None, 0.0, 0.0, 0.0, True, 1)
+                                     0.0, 0.0, 0.0, True, 1)
         peaks.append(_traced_peak(higher_order_acf, ens, 4)[1])
     assert peaks[1] <= peaks[0] + 64 * grid.n_nodes, peaks
     assert peaks[1] <= 8 * klmodel.SCRATCH * 8, peaks
@@ -335,7 +337,8 @@ def test_higher_order_acf_memory_does_not_grow_with_rows():
 def test_scratch_blocks_do_not_move_sampled_values(monkeypatch):
     # one time column per remap block and one row per sum and FFT batch
     basis, marginal = _quartic_basis(0.05, 4.0)
-    kwargs = dict(iters=3, seed=47, marginal_tol=0.0)
+    monkeypatch.setattr(klmodel, "MARGINAL_TOL", 0.0)
+    kwargs = dict(iters=3, seed=47)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ens = sample_ensemble(basis, marginal, 3000, **kwargs)

@@ -20,9 +20,7 @@ from glekit.systems import (
 def test_ko_names_and_dimension():
     sys = kraichnan_orszag()
     assert sys.names == ("x1", "x2", "x3")
-    assert sys.variable("x2") == 1
-    with pytest.raises(ValidationError):
-        sys.variable("x9")
+    assert sys.dimension == 3
 
 
 def test_fpu_equations_of_motion():

@@ -239,9 +239,9 @@ def test_marcher_matches_reference_formulas(dt, horizon):
     grid = TimeGrid(dt=dt, horizon=horizon)
     k = bessel_kernel(grid.times)
     rng = np.random.default_rng(7)
-    for omega, c0 in ((0.0, 1.0), (-0.3, 1.7)):
-        c = solve_correlation(omega, k, grid, c0=c0)
-        assert _close(c.values, _reference_correlation(omega, k, dt, c0))
+    for omega in (0.0, -0.3):
+        c = solve_correlation(omega, k, grid)
+        assert _close(c.values, _reference_correlation(omega, k, dt, 1.0))
     # batched start with forcing, and a batch of one
     f = 0.5 * rng.standard_normal((6, grid.n_nodes))
     u0 = rng.standard_normal(6)
