@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import typing
 from dataclasses import dataclass, field
@@ -53,12 +54,16 @@ def _accepts(hint, value) -> bool:
 
 @dataclass
 class SystemConfig:
+    """A builtin system or a system file.  The chain keys are the builder's
+    arguments: a key left unset takes the builder's default, and a key the
+    builder does not take is an error."""
+
     name: str | None = None           # builtin name
     file: str | None = None           # or a system-definition file
-    n_sites: int = 16
-    alpha1: float = 1.0
-    beta1: float = 0.0
-    mass: float = 1.0
+    n_sites: int | None = None
+    alpha1: float | None = None
+    beta1: float | None = None
+    mass: float | None = None
 
     def __post_init__(self):
         if (self.name is None) == (self.file is None):
@@ -66,23 +71,23 @@ class SystemConfig:
         if self.name is not None and self.name not in BUILTIN_SYSTEMS:
             raise ValidationError(
                 f"unknown system {self.name!r}; choose from {sorted(BUILTIN_SYSTEMS)}")
-        if self.name == "harmonic_chain" and self.beta1 != 0:
-            raise ValidationError("system.beta1 must be 0 for harmonic_chain; "
-                                  "fpu_chain has the quartic coupling")
 
     def build(self) -> PolySystem:
-        if self.file is not None:
-            try:
-                return load_system(self.file)
-            except (OSError, KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"cannot read system {self.file}: {exc!r}") from exc
-        if self.name == "kraichnan_orszag":
-            return BUILTIN_SYSTEMS[self.name]()
-        kwargs = {"n_sites": self.n_sites, "alpha1": _rational(self.alpha1),
-                  "mass": _rational(self.mass)}
-        if self.name == "fpu_chain":
-            kwargs["beta1"] = _rational(self.beta1)
-        return BUILTIN_SYSTEMS[self.name](**kwargs)
+        builder = self._load if self.file is not None else BUILTIN_SYSTEMS[self.name]
+        keys = {f.name: _rational(getattr(self, f.name))
+                for f in dataclasses.fields(self)
+                if f.name not in ("name", "file") and getattr(self, f.name) is not None}
+        try:
+            inspect.signature(builder).bind(**keys)
+        except TypeError as exc:
+            raise ValidationError(f"system {self.name or self.file}: {exc}") from None
+        return builder(**keys)
+
+    def _load(self) -> PolySystem:
+        try:
+            return load_system(self.file)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"cannot read system {self.file}: {exc!r}") from exc
 
 
 def _rational(x):
@@ -124,7 +129,6 @@ class KernelConfig:
     # None: estimate from the gamma growth; "consistency": scan orders/deltas
     # for the best consecutive-order agreement (asymptotic-series regimes)
     delta: float | str | None = None
-    skew: bool = True
     term_cap: int = DEFAULT_TERM_CAP
 
     def __post_init__(self):

@@ -96,6 +96,12 @@ def momentum_index(system: PolySystem, j: int) -> int:
     return n + (j % n)
 
 
+def field_site(system: PolySystem, index: int) -> tuple[str, int]:
+    """Inverse of :func:`displacement_index` and :func:`momentum_index`."""
+    n = system.params["n_sites"]
+    return ("r", index) if index < n else ("p", index - n)
+
+
 BUILTIN_SYSTEMS = {
     "kraichnan_orszag": kraichnan_orszag,
     "harmonic_chain": harmonic_chain,

@@ -138,6 +138,20 @@ def test_correlate_rejects_a_non_finite_kernel(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("header", [{}, {"streaming": "abc"}, {"streaming": float("nan")}],
+                         ids=["missing", "non_numeric", "non_finite"])
+def test_correlate_needs_the_streaming_term_of_a_kernel_file(tmp_path, capsys, header):
+    # a missing streaming term is not taken as 0: the damped pair's is -1
+    grid = TimeGrid(dt=0.01, horizon=5.0)
+    kfile = tmp_path / "kernel.csv"
+    write_series(kfile, Series(grid, -2 * special.jv(0, grid.times)), header, value_name="K")
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+    assert main(["correlate", str(cfg), "--kernel-file", str(kfile)]) == 2
+    err = capsys.readouterr().err
+    assert "kernel.csv" in err and "streaming" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _damped_pair_file(path: Path) -> Path:
     # dx/dt = -x + y, dy/dt = -x: the dissipative -x makes L non-skew, so the
     # kernel carries a streaming term Omega = <L x, x> / <x, x> = -1
@@ -154,7 +168,7 @@ def test_kernel_file_round_trip_matches_inline(tmp_path, system):
     if system == "damped_pair":
         overrides = {"system": {"file": str(_damped_pair_file(tmp_path / "sys.json"))},
                      "observable": {"var": 0},
-                     "kernel": {"basis": "faber", "order": 6, "skew": False}}
+                     "kernel": {"basis": "faber", "order": 6}}
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "inline"),
                        **overrides)
     assert main(["correlate", str(cfg)]) == 0
@@ -164,6 +178,87 @@ def test_kernel_file_round_trip_matches_inline(tmp_path, system):
     inline, _ = read_series(tmp_path / "inline" / "correlation.csv", value_name="C")
     from_file, _ = read_series(tmp_path / "file" / "correlation.csv", value_name="C")
     assert np.array_equal(inline.values, from_file.values)
+
+
+def _cubic_pair_file(path: Path) -> Path:
+    # dx/dt = y, dy/dt = -x - y^3: div F = -3 y^2, so L is not skew-adjoint
+    # under the Gaussian, although <L x, x> = 0
+    path.write_text(json.dumps({"variables": ["x", "y"], "terms": [
+        {"target": 0, "rhs": [{"coeff": [1, 1], "exps": {"1": 1}}]},
+        {"target": 1, "rhs": [{"coeff": [-1, 1], "exps": {"0": 1}},
+                              {"coeff": [-1, 1], "exps": {"1": 3}}]}]}))
+    return path
+
+
+# observed variable and gamma_1..gamma_6 of <L^i u0, u0> / <u0, u0> under the
+# unit Gaussian, from an independent symbolic expansion; the first two
+# systems are skew-adjoint there, the last three are not
+GAMMA_TABLES = {
+    "kraichnan_orszag": (0, [0, -1, 0, 11, 0, -279]),
+    "fpu_file": (9, [0, -2, 0, 6, 0, -20]),
+    "fpu_alpha2_file": (9, [0, -4, 0, 24, 0, -160]),
+    "cubic_pair": (0, [0, -1, 3, -62, 2829, -217927]),
+    "damped_pair": (0, [-1, 0, 1, -1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("system", list(GAMMA_TABLES))
+def test_skew_decision_gives_the_exact_gamma_table(tmp_path, system):
+    from glekit.systems import fpu_chain, save_system
+    sys_file = tmp_path / "sys.json"
+    if system == "kraichnan_orszag":
+        spec = {"name": system}
+    else:
+        if system == "cubic_pair":
+            _cubic_pair_file(sys_file)
+        elif system == "damped_pair":
+            _damped_pair_file(sys_file)
+        else:  # a chain read from a file is not known to be Hamiltonian
+            save_system(fpu_chain(6, alpha1=2 if system == "fpu_alpha2_file" else 1),
+                        sys_file)
+        spec = {"file": str(sys_file)}
+    var, table = GAMMA_TABLES[system]
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system=spec, observable={"var": var},
+                       kernel={"basis": "dyson", "order": 4})
+    assert main(["kernel", str(cfg)]) == 0
+    _, meta = read_columns(tmp_path / "out" / "gamma.csv")
+    assert meta["gamma_table"] == table
+
+
+@pytest.mark.parametrize("key, value", [("n_sites", 5), ("alpha1", 7.0),
+                                        ("beta1", 0.0), ("mass", 1.0)])
+def test_ko_rejects_chain_keys(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": "kraichnan_orszag", key: value},
+                       observable={"var": 0})
+    assert main(["kernel", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "kraichnan_orszag" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["harmonic_chain", "fpu_chain"])
+def test_chain_needs_n_sites(tmp_path, capsys, name):
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": name})
+    for command in ("kernel", "mc"):
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "n_sites" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mc_observable_var_is_the_chain_variable(tmp_path):
+    # variable 3 of an 8-site chain is r_3
+    rows = []
+    for label, observable in (("var", {"var": 3}), ("field", {"field": "r", "site": 3})):
+        cfg = write_config(tmp_path / f"{label}.json", output_dir=str(tmp_path / label),
+                           system={"name": "harmonic_chain", "n_sites": 8},
+                           observable=observable, grid={"horizon": 1.0, "dt": 0.01})
+        assert main(["mc", str(cfg)]) == 0
+        rows.append((tmp_path / label / "mc_acf.csv").read_text().splitlines()[1:])
+    assert rows[0] == rows[1]
 
 
 def test_mc_command_and_compare(tmp_path):
@@ -364,6 +459,20 @@ def test_compare_rejects_a_series_it_cannot_gate(tmp_path, capsys, defect):
     assert "bad.csv" in capsys.readouterr().err
 
 
+def test_compare_max_z_needs_standard_errors(tmp_path, capsys):
+    grid = TimeGrid(dt=0.01, horizon=1.0)
+    write_series(tmp_path / "a.csv", Series(grid, np.ones(grid.n_nodes)), {})
+    write_series(tmp_path / "b.csv", Series(grid, np.zeros(grid.n_nodes)), {})
+    report = tmp_path / "rep.json"
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--max-z", "3", "--report", str(report)]) == 2
+    assert "--max-z needs standard errors" in capsys.readouterr().err
+    assert not report.exists()
+    # the sup and l2 gates need none
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--max-sup", "0.5"]) == 3
+
+
 def test_determinism_same_seed_identical_files(tmp_path):
     cfg_a = write_config(tmp_path / "a.json", output_dir=str(tmp_path / "outA"))
     cfg_b = write_config(tmp_path / "b.json", output_dir=str(tmp_path / "outB"))
@@ -392,9 +501,9 @@ def test_set_overrides_and_validation(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "grid=5", "kernel.order=abc", "grid.dt=abc", "gamma=abc", "system.n_sites=abc",
-    "mc.n_samples=abc", "kernel.order=1.5", "kernel.skew=1", "output_dir=3",
+    "mc.n_samples=abc", "kernel.order=1.5", "kl.export_xi=1", "output_dir=3",
     "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0",
-    "system.beta1=1.0"])
+    "kernel.skew=true", "system.beta1=1.0", "system.beta1=0"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg), "--set", override]) == 2
