@@ -190,6 +190,11 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
 
 
 def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
+    if cfg.observable.power != 1:
+        # the sampler's target is the law of x, while a power observable's
+        # u0 = x**power is neither that law nor centred
+        raise ValidationError("kl samples the law of the observed variable, so it needs "
+                              f"observable.power 1, not {cfg.observable.power}")
     out = Path(cfg.output_dir)
     grid = _grid(cfg)
     if correlation_file:

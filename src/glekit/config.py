@@ -77,8 +77,12 @@ class SystemConfig:
         keys = {f.name: _rational(getattr(self, f.name))
                 for f in dataclasses.fields(self)
                 if f.name not in ("name", "file") and getattr(self, f.name) is not None}
+        signature = inspect.signature(builder)
+        unknown = sorted(set(keys) - set(signature.parameters))
+        if unknown:
+            raise ValidationError(f"system {self.name or self.file} does not take {unknown}")
         try:
-            inspect.signature(builder).bind(**keys)
+            signature.bind(**keys)
         except TypeError as exc:
             raise ValidationError(f"system {self.name or self.file}: {exc}") from None
         return builder(**keys)
@@ -100,14 +104,23 @@ def _rational(x):
 
 @dataclass
 class ObservableConfig:
-    field: str = "p"                  # chain field, or "var" with index
-    site: int = 0
-    var: int | None = None            # direct variable index (non-chain systems)
+    """The observed variable x, by exactly one address: ``var``, its index in
+    the system, or a chain ``field`` ("r" or "p") with its ``site``.  The
+    observable is x**power."""
+
+    field: str | None = None
+    site: int | None = None
+    var: int | None = None
     power: int = 1
 
     def __post_init__(self):
         if self.power < 1:
             raise ValidationError("observable power must be >= 1")
+        by_var = self.var is not None
+        if (self.field is None, self.site is None) != (by_var, by_var):
+            given = [k for k in ("field", "site", "var") if getattr(self, k) is not None]
+            raise ValidationError("observable needs exactly one address, 'var' or "
+                                  f"'field' with 'site', not {given}")
         if self.var is None and self.field not in ("r", "p"):
             raise ValidationError("observable field must be 'r' or 'p'")
 
@@ -134,6 +147,9 @@ class KernelConfig:
     def __post_init__(self):
         if self.basis not in ("faber", "dyson"):
             raise ValidationError("kernel basis must be 'faber' or 'dyson'")
+        if self.basis == "dyson" and self.delta == "consistency":
+            raise ValidationError("kernel.delta 'consistency' scans Faber kernels only, "
+                                  "so it needs kernel.basis 'faber', not 'dyson'")
         if isinstance(self.delta, str) and self.delta != "consistency":
             raise ValidationError("kernel delta must be a number, null or 'consistency'")
         if self.order < 0:
@@ -168,7 +184,7 @@ class KLConfig:
 @dataclass
 class ExperimentConfig:
     system: SystemConfig              # required: a builtin name or a file
-    observable: ObservableConfig = field(default_factory=ObservableConfig)
+    observable: ObservableConfig      # required: the observed variable
     kernel: KernelConfig = field(default_factory=KernelConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     mc: MCConfig = field(default_factory=MCConfig)

@@ -238,6 +238,43 @@ def test_ko_rejects_chain_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_system_names_every_key_it_does_not_take(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": "kraichnan_orszag", "n_sites": 5, "alpha1": 7.0},
+                       observable={"var": 0})
+    assert main(["kernel", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "kraichnan_orszag" in err and "n_sites" in err and "alpha1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_consistency_scan_needs_the_faber_basis(tmp_path, capsys):
+    # the scan builds Faber kernels only: a dyson basis would be ignored
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       kernel={"basis": "dyson", "order": 10, "delta": "consistency"})
+    assert main(["kernel", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "kernel.basis" in err and "kernel.delta" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["inline", "correlation_file"])
+def test_kl_needs_the_observed_variable_itself(tmp_path, capsys, source):
+    # the sampler's target is the law of r_3, not of u0 = r_3^2
+    grid = TimeGrid(dt=0.01, horizon=2.0)
+    cfile = tmp_path / "correlation.csv"
+    write_series(cfile, Series(grid, np.exp(-grid.times)), {}, value_name="C")
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": "fpu_chain", "n_sites": 16, "alpha1": 1, "beta1": 1},
+                       observable={"field": "r", "site": 3, "power": 2},
+                       kernel={"basis": "faber", "order": 12, "delta": "consistency"},
+                       grid={"horizon": 2.0, "dt": 0.01}, gamma=40.0)
+    flags = ["--correlation-file", str(cfile)] if source == "correlation_file" else []
+    assert main(["kl", str(cfg), *flags]) == 2
+    assert "observable.power" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["harmonic_chain", "fpu_chain"])
 def test_chain_needs_n_sites(tmp_path, capsys, name):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
@@ -259,6 +296,10 @@ def test_mc_observable_var_is_the_chain_variable(tmp_path):
         assert main(["mc", str(cfg)]) == 0
         rows.append((tmp_path / label / "mc_acf.csv").read_text().splitlines()[1:])
     assert rows[0] == rows[1]
+    # the manifest echoes the address that was run, and null for the other
+    manifest = json.loads((tmp_path / "var" / "manifest.json").read_text())
+    assert manifest["config"]["observable"] == {"field": None, "site": None, "var": 3,
+                                                "power": 1}
 
 
 def test_mc_command_and_compare(tmp_path):
@@ -503,7 +544,8 @@ def test_set_overrides_and_validation(tmp_path):
     "grid=5", "kernel.order=abc", "grid.dt=abc", "gamma=abc", "system.n_sites=abc",
     "mc.n_samples=abc", "kernel.order=1.5", "kl.export_xi=1", "output_dir=3",
     "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0",
-    "kernel.skew=true", "system.beta1=1.0", "system.beta1=0"])
+    "kernel.skew=true", "system.beta1=1.0", "system.beta1=0", "observable.var=3",
+    "observable.site=null"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg), "--set", override]) == 2

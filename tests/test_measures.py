@@ -1,7 +1,11 @@
 """Moments and polynomial expectations under product equilibrium measures."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,19 +24,31 @@ from glekit.measures import (
 from glekit.poly import Polynomial
 from glekit.systems import fpu_chain
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-def quartic_moment_closed_form(gamma: float, m: int) -> float:
-    """Even moments of exp(-gamma(x^2/2 + x^4/4)) via Tricomi U and Bessel K.
 
-    Evaluated with mpmath: the scipy hyperu implementation is only ~1e-7
-    accurate in the parameter range used here.
+def quartic_moment_closed_form(gamma, alpha1, beta1, m: int):
+    """E[x^m] under exp(-gamma(alpha1 x^2/2 + beta1 x^4/4)), to 40 digits.
+
+    With a = gamma alpha1 / 2 and b = gamma beta1 / 4, the integral of
+    x^m exp(-a x^2 - b x^4) over x > 0 is, up to a factor free of m,
+    (2b)^(-(m+1)/4) Gamma((m+1)/2) D_{-(m+1)/2}(a / sqrt(2b)), D the
+    parabolic cylinder function; at b = 0 the density is Gaussian.
     """
     import mpmath as mp
-    g = mp.mpf(gamma)
-    val = (mp.sqrt(2) * g**(mp.mpf(-1) / 4 - mp.mpf(m) / 2) * mp.gamma(mp.mpf(1) / 2 + m)
-           * mp.hyperu(mp.mpf(1) / 4 + mp.mpf(m) / 2, mp.mpf(1) / 2, g / 4)
-           / (mp.e**(g / 8) * mp.besselk(mp.mpf(1) / 4, g / 8)))
-    return float(val)
+
+    def mpf(v):
+        v = Fraction(v)
+        return mp.mpf(v.numerator) / v.denominator
+
+    with mp.workdps(40):
+        a, b = mpf(gamma) * mpf(alpha1) / 2, mpf(gamma) * mpf(beta1) / 4
+        if b == 0:
+            return mp.gamma(mp.mpf(m + 1) / 2) / mp.gamma(mp.mpf(1) / 2) / a**(m // 2)
+        z = a / mp.sqrt(2 * b)
+        half = lambda m: ((2 * b)**(-mp.mpf(m + 1) / 4) * mp.gamma(mp.mpf(m + 1) / 2)
+                          * mp.pcfd(-mp.mpf(m + 1) / 2, z))
+        return half(m) / half(0)
 
 
 def test_gaussian_moments_exact():
@@ -54,8 +70,30 @@ def test_gaussian_float_mode():
 def test_quartic_moments_match_closed_form(m):
     d = QuarticGibbs(40.0, 1.0, 1.0)
     got = moment(d, 2 * m)
-    want = quartic_moment_closed_form(40.0, m)
-    assert abs(got - want) / abs(want) < 1e-8
+    want = quartic_moment_closed_form(40, 1, 1, 2 * m)
+    assert abs(got / want - 1) < 1e-14
+
+
+@pytest.mark.parametrize("gamma, alpha1, beta1", [
+    (40, 1, 1), (1, 1, Fraction(1, 100)), (7, 2, 3), (2.5, 1.7, 0), (1, -1, 1)],
+    ids=["gamma40", "mild", "stiff", "gaussian_limit", "double_well"])
+def test_quartic_moment_table_matches_closed_form(gamma, alpha1, beta1):
+    d = QuarticGibbs(float(gamma), float(alpha1), float(beta1))
+    for m in range(2, 121, 2):
+        want = quartic_moment_closed_form(gamma, alpha1, beta1, m)
+        assert abs(moment(d, m) / want - 1) < 1e-14, m
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # quartic moments come from the density's own table, so no process
+    # pays for scipy.integrate and what it imports
+    code = "import sys, glekit.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_quartic_odd_moments_exact_zero():
