@@ -27,10 +27,12 @@ ENERGY_FLOOR = 1e-8
 CLIP_TOL = 1e-6
 # relative margin of the Cholesky certificate over CLIP_TOL, see proves_not_psd
 CERT_MARGIN = 1e-6
-# doubles per block of scratch: the sampler's column blocks and the row
-# batches of the moment sums and of the FFT ACF are sized by it
+# doubles per block of scratch: the sampler's column blocks, the row batches
+# of the moment sums and of the FFT ACF, and the GLE paths' FFT row blocks
+# (a 32nd of it) are sized by it
 SCRATCH = 1 << 19
-# sample paths whose ACF the sampler compares against the target
+# sample paths whose ACF the sampler compares against the target, formed
+# from their amplitudes' Gram matrix
 ACF_CHECK_ROWS = 20000
 # the sampler may stop early once that ACF is within ACF_TOL of lag 0, and
 # its marginal quantile and tail-moment errors are within MARGINAL_TOL
@@ -258,11 +260,6 @@ def _moment_error(paths: np.ndarray, qs: np.ndarray) -> float:
     return float(np.max(np.abs(sums / paths.size / target - 1.0)))
 
 
-def _ensemble_acf(paths: np.ndarray) -> np.ndarray:
-    acf, _ = _fft_acf(paths[:ACF_CHECK_ROWS], 1)
-    return acf
-
-
 def _sampling_truncation(basis: KLBasis, n_samples: int) -> KLBasis:
     """Drop modes too weak to be identified through the rank remap.
 
@@ -299,12 +296,19 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     can identify (see :func:`_sampling_truncation`), and the errors of every
     sweep in ``history``.
 
+    The ACF error compares the origin-averaged ACF of the first
+    ``ACF_CHECK_ROWS`` paths with the source ACF.  Those paths are xi A^T,
+    A = modes diag(sqrt(lambda)), so their mean power spectrum is the
+    quadratic form of G = xi^T xi / rows in the spectra of A's columns: one
+    rank-K Gram matrix and one FFT of A replace an FFT of every path.
+
     Memory: one (samples, n_nodes) paths buffer serves every sweep, and
     beyond it and the (samples, K) amplitudes a call holds a few blocks of
-    ``SCRATCH`` values.  The remap sorts and overwrites the buffer a block
-    of time columns at a time, and the projection reads the remapped buffer.
-    The pooled quantiles partition the buffer in place, after which the
-    paths are rebuilt from xi, one rank-K product.
+    ``SCRATCH`` values.  The remap ranks a contiguous transposed copy of a
+    block of time columns at a time, so each sort reads adjacent values, and
+    writes it back; the projection reads the remapped buffer.  The pooled
+    quantiles partition the buffer in place, after which the paths are
+    rebuilt from xi, one rank-K product.
     """
     if n_samples < 10 * basis.rank:
         raise ValidationError("need at least 10 samples per retained mode")
@@ -321,21 +325,31 @@ def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,
     scale = math.sqrt(marginal.variance)
     project = basis.modes * basis.grid.trapezoid_weights()[:, None]
     amp = np.sqrt(basis.eigenvalues)
-    paths = np.empty((s, basis.grid.n_nodes))
+    n = basis.grid.n_nodes
+    paths = np.empty((s, n))
     _build_paths(basis, xi, paths)
+    # spectra of the columns of modes diag(sqrt(lambda)), for the ACF check
+    nfft = sp_fft.next_fast_len(2 * n)
+    spec = np.fft.rfft(basis.modes * amp, nfft, axis=0)
+    counts = np.arange(n, 0, -1, dtype=float)
     cols = max(1, SCRATCH // s)
     history = []
     for it in range(1, iters + 1):
-        for lo in range(0, paths.shape[1], cols):
+        for lo in range(0, n, cols):
             block = paths[:, lo:lo + cols]
-            np.put_along_axis(block, np.argsort(block, axis=0),
-                              np.broadcast_to(qs[:, None], block.shape), axis=0)
+            ranked = np.ascontiguousarray(block.T)
+            np.put_along_axis(ranked, np.argsort(ranked, axis=1),
+                              np.broadcast_to(qs, ranked.shape), axis=1)
+            block[:] = ranked.T
         xi = paths @ project / amp[None, :]
         xi -= xi.mean(axis=0)
         xi /= np.maximum(xi.std(axis=0), 1e-300)
         _build_paths(basis, xi, paths)
         mom_err = _moment_error(paths, qs)
-        acf = _ensemble_acf(paths)
+        rows = xi[:ACF_CHECK_ROWS]
+        gram = rows.T @ rows / len(rows)
+        power = ((spec.conj() @ gram) * spec).real.sum(axis=1)
+        acf = np.fft.irfft(power, nfft)[:n] / counts
         acf_err = float(np.max(np.abs(acf - target_acf)) / target_acf[0])
         emp = np.quantile(paths.reshape(-1), probes, overwrite_input=True)
         marg_err = float(np.max(np.abs(emp - target_q)) / scale)
@@ -416,19 +430,41 @@ def gle_sample_paths(omega: float, kernel, f_paths: np.ndarray,
                      u0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Integrate du/dt = Omega u + int K(t-s) u(s) ds + f(t) per sample.
 
-    The correlation solver's marcher, run on the whole batch at once;
-    returns an (samples, n_nodes) array.
+    Returns an (samples, n_nodes) array, the paths that the correlation
+    solver's marcher gives, to rounding.  The marcher is linear, and every
+    path shares its kernel and Omega, so one 3-column march gives all paths
+    through its impulse responses (a discrete resolvent; Linz, Analytical
+    and Numerical Methods for Volterra Equations, SIAM 1985): c to
+    u0 = 1, g0 to a unit forcing at node 0, and g to a unit forcing at node
+    1.  Forcing at node m >= 1 enters a corrector and the next rate, so its
+    response is g shifted by m - 1; node 0 enters the first rate only.  So
+    u = u0 c + f_0 g0 + (f_1.. * g), the convolution by FFT in row blocks of
+    at most ``SCRATCH / 32`` transform values: beyond the returned array a
+    call holds a few such blocks.
     """
     k = _sample_kernel(kernel, grid)
     f = np.asarray(f_paths, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    s, n_nodes = f.shape
-    if n_nodes != grid.n_nodes:
+    s, n = f.shape
+    if n != grid.n_nodes:
         raise ValidationError("forcing paths do not match the grid")
     if u0.shape != (s,):
         raise ValidationError("one initial value per forcing path required")
-    u = _march(k, omega, u0, grid.dt, f.T).T
-    if not np.all(np.isfinite(u)):
-        raise NumericError("Volterra march produced non-finite values")
+    impulses = np.zeros((n, 3))
+    impulses[0, 1] = impulses[1, 2] = 1.0
+    c, g0, g = _march(k, omega, np.array([1.0, 0.0, 0.0]), grid.dt, impulses).T
+    nfft = sp_fft.next_fast_len(2 * n)
+    spec = np.fft.rfft(g, nfft)
+    u = np.empty((s, n))
+    batch = max(1, SCRATCH // 32 // nfft)
+    for lo in range(0, s, batch):
+        rows = slice(lo, lo + batch)
+        block = u[rows]
+        block[:] = np.fft.irfft(np.fft.rfft(f[rows, 1:], nfft, axis=1) * spec, nfft,
+                                axis=1)[:, :n]
+        block += u0[rows, None] * c
+        block += f[rows, :1] * g0
+        if not np.all(np.isfinite(block)):
+            raise NumericError("Volterra march produced non-finite values")
     return u
 

@@ -10,13 +10,14 @@ terms contributes to E[f*g] only when their odd-exponent variables
 coincide: odd Liouville moments of Hamiltonian chains vanish identically.
 A :class:`Gaussian` has closed forms: exact (``int``/``Fraction``) moments
 for a rational gamma, and ``ndtri`` quantiles.  A :class:`QuarticGibbs`
-density reads both from one trapezoid table on [-a, a], exp(-gamma V(a)) <=
-e^-740: E[x^m] is the ratio of the sums of x^m pdf and of pdf, and the
-quantile inverts the CDF.  On analytic integrands negligible at both ends
-the trapezoid rule converges geometrically in the step (Trefethen &
-Weideman, SIAM Rev. 56, 385, 2014): 4001 points give moments exact to
-rounding.  A :class:`CustomDensity` need not vanish at its ends, so it takes
-Gauss-Legendre moments, and quantiles from the same kind of table.
+density reads both from one trapezoid table on [-a, a], where the density
+is e^-740 of its peak: E[x^m] is the ratio of the sums of x^m pdf and of
+pdf, and the quantile inverts the CDF.  On analytic integrands negligible
+at both ends the trapezoid rule converges geometrically in the step
+(Trefethen & Weideman, SIAM Rev. 56, 385, 2014): 4001 points give moments
+exact to rounding.  A :class:`CustomDensity` need not vanish at its ends,
+so it takes Gauss-Legendre moments, and quantiles from the same kind of
+table.
 
 Expectations are array code.  A polynomial becomes a small-int exponent
 matrix (terms x the sorted union of the supports) and a coefficient vector;
@@ -102,15 +103,22 @@ class QuarticGibbs(Density1D):
 
     @functools.cached_property
     def _table(self):
-        """:func:`_grid_table` on [-a, a], where -gamma V(a) <= -740."""
+        """:func:`_grid_table` on [-a, a], where the density is e^-740 of its peak.
+
+        The log-density is shifted by its maximum, gamma alpha1^2 / (4 beta1)
+        at the minima +-sqrt(-alpha1 / beta1) of a double well and 0 at x = 0
+        otherwise, and a grows from that minimum.
+        """
         g, a1, b1 = float(self.gamma), float(self.alpha1), float(self.beta1)
-        logpdf = lambda x: -g * (0.5 * a1 * x * x + 0.25 * b1 * x**4)
-        a = 1.0
-        while -logpdf(a) < 740.0:
-            a *= 1.5
-            if a > 1e8:
+        well = math.sqrt(-a1 / b1) if a1 < 0 else 0.0
+        top = g * a1 * a1 / (4 * b1) if a1 < 0 else 0.0
+        logpdf = lambda x: -g * (0.5 * a1 * x * x + 0.25 * b1 * x**4) - top
+        d = 1.0
+        while -logpdf(well + d) < 740.0:
+            d *= 1.5
+            if d > 1e8:
                 raise InvalidDensityError("quartic density fails to decay")
-        return _grid_table(logpdf, a)
+        return _grid_table(logpdf, well + d)
 
     def _moment(self, m: int):
         if m % 2 == 1:

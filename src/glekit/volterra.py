@@ -2,9 +2,10 @@
 
 All convolutions use trapezoidal product integration on uniform grids, so the
 whole module is second-order in dt.  One predictor-corrector marcher,
-:func:`_march`, solves the correlation equation, the GLE sample paths of
-:mod:`glekit.klmodel` and, in one batch, all correlations of a selection
-scan in :mod:`glekit.kernels`.  One solver keeps its own loop on purpose,
+:func:`_march`, solves the correlation equation and, in one batch, all
+correlations of a selection scan in :mod:`glekit.kernels`.  The GLE sample
+paths of :mod:`glekit.klmodel` take its impulse responses and convolve them
+with each path's forcing.  One solver keeps its own loop on purpose,
 since it solves for what the marcher takes as given: kernel deconvolution
 (a forward substitution for K with pivot dt*C(0)/2).  The fluctuation modes
 of a known kernel need no march at all: one FFT convolution gives them.
@@ -102,6 +103,11 @@ def _march(k: np.ndarray, omega, x0, dt: float, forcing) -> np.ndarray:
     Each step's history sum serves its corrector and the next step's rate.
     Values are not checked: a column that overflows leaves the others
     untouched, and callers decide what a non-finite column means.
+
+    The march is linear in ``x0`` and ``forcing``, and a unit forcing at any
+    node m >= 1 gives the response to one at node 1 delayed by m - 1 steps,
+    so three columns (``x0`` = 1, and unit forcings at nodes 0 and 1) give
+    every path of one kernel: :func:`glekit.klmodel.gle_sample_paths`.
     """
     x = np.empty((len(k),) + np.shape(x0))
     x[0] = x0

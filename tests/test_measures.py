@@ -84,6 +84,37 @@ def test_quartic_moment_table_matches_closed_form(gamma, alpha1, beta1):
         assert abs(moment(d, m) / want - 1) < 1e-14, m
 
 
+def quartic_moment_quadrature(gamma, alpha1, beta1, m: int):
+    """E[x^m] under exp(-gamma(alpha1 x^2/2 + beta1 x^4/4)) by 30-digit quadrature.
+
+    The integrals over x > 0 are split at the minimum of a double well,
+    where the density peaks; mpmath's exponent range holds that peak,
+    exp(gamma alpha1^2 / (4 beta1)).
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        g, a1, b1 = mp.mpf(gamma), mp.mpf(alpha1), mp.mpf(beta1)
+        well = mp.sqrt(max(0, -a1 / b1))
+        pdf = lambda x: mp.exp(-g * (a1 * x**2 / 2 + b1 * x**4 / 4))
+        points = [0, well, mp.inf]
+        return mp.quad(lambda x: x**m * pdf(x), points) / mp.quad(pdf, points)
+
+
+@pytest.mark.parametrize("gamma, alpha1, beta1",
+                         [(4000.0, -1.0, 1.0), (100.0, -1.0, 0.01)],
+                         ids=["cold_double_well", "wide_double_well"])
+def test_quartic_double_well_is_finite(gamma, alpha1, beta1):
+    # the peak of -gamma V is gamma alpha1^2 / (4 beta1), 1000 and 2500 here:
+    # exp of the unshifted log-density overflows
+    d = QuarticGibbs(gamma, alpha1, beta1)
+    for m in (2, 4):
+        want = quartic_moment_quadrature(gamma, alpha1, beta1, m)
+        assert abs(moment(d, m) / float(want) - 1) < 1e-12, m
+    q = d.quantile(np.linspace(0.01, 0.99, 99))
+    assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0)
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # quartic moments come from the density's own table, so no process
     # pays for scipy.integrate and what it imports
