@@ -43,7 +43,6 @@ from .systems import PolySystem, field_site
 from .volterra import (
     GeneralMode,
     Series,
-    TimeGrid,
     solve_correlation,
     solve_fluctuation_modes,
 )
@@ -98,7 +97,7 @@ def _kernel_pipeline(cfg: ExperimentConfig):
                          skew=ctx.skew, term_cap=kc.term_cap)
     mu = mu_sequence(gam)
     if kc.delta == "consistency":
-        kernel, diag = select_kernel_by_consistency(mu, _grid(cfg), obs=ctx.obs)
+        kernel, diag = select_kernel_by_consistency(mu, cfg.grid, obs=ctx.obs)
         selection = {
             "candidates": len(diag.scores) + sum(diag.rejected.values()),
             "admissible": len(diag.scores),
@@ -115,14 +114,10 @@ def _kernel_pipeline(cfg: ExperimentConfig):
     return ctx, gam, mu, kernel, {}
 
 
-def _grid(cfg: ExperimentConfig) -> TimeGrid:
-    return TimeGrid(dt=cfg.grid.dt, horizon=cfg.grid.horizon)
-
-
 def cmd_kernel(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     ctx, gam, mu, kernel, explained = _kernel_pipeline(cfg)
-    grid = _grid(cfg)
+    grid = cfg.grid
     kvals = kernel(grid.times)
     meta = {
         "basis": kernel.basis, "order": kernel.order, "delta": kernel.delta,
@@ -147,7 +142,7 @@ def cmd_kernel(cfg: ExperimentConfig) -> int:
 
 def cmd_correlate(cfg: ExperimentConfig, kernel_file: str | None = None) -> int:
     out = Path(cfg.output_dir)
-    grid = _grid(cfg)
+    grid = cfg.grid
     if kernel_file:
         kser, meta_in = read_series(kernel_file, value_name="K", grid=grid)
         streaming = meta_in.get("streaming")
@@ -176,10 +171,9 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     params = ChainParams(n_sites=sp["n_sites"], mass=float(sp["mass"]),
                          alpha1=float(sp["alpha1"]), beta1=float(sp["beta1"]),
                          gamma=cfg.gamma)
-    grid = _grid(cfg)
     field, site = field_site(ctx.system, ctx.var)
     observable = Observable(site=site, field=field, power=cfg.observable.power)
-    acf = mc_autocorrelation(params, observable, cfg.mc.n_samples, grid,
+    acf = mc_autocorrelation(params, observable, cfg.mc.n_samples, cfg.grid,
                              seed=cfg.mc.seed, sim_dt=cfg.mc.sim_dt)
     meta = cfg.manifest("mc", {"n_samples": cfg.mc.n_samples, "seed": cfg.mc.seed})
     write_series(out / "mc_acf.csv", acf, meta, value_name="acf")
@@ -196,7 +190,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         raise ValidationError("kl samples the law of the observed variable, so it needs "
                               f"observable.power 1, not {cfg.observable.power}")
     out = Path(cfg.output_dir)
-    grid = _grid(cfg)
+    grid = cfg.grid
     if correlation_file:
         corr, _ = read_series(correlation_file, value_name="C", grid=grid)
         if not corr.values[0] > 0:
@@ -265,8 +259,7 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
 
 
 def cmd_compare(file_a: str, file_b: str, max_sup: float | None,
-                max_l2: float | None, max_z: float | None,
-                report_path: str | None) -> int:
+                max_z: float | None, report_path: str | None) -> int:
     sa, _ = read_series(file_a)
     sb, _ = read_series(file_b)
     if max_z is not None and sa.se is None and sb.se is None:
@@ -298,7 +291,6 @@ def cmd_compare(file_a: str, file_b: str, max_sup: float | None,
         Path(report_path).write_text(body + "\n")
     print(body)
     failed = ((max_sup is not None and sup > max_sup)
-              or (max_l2 is not None and l2 > max_l2)
               or (max_z is not None and report["max_z"] > max_z))
     return 3 if failed else 0
 
@@ -332,7 +324,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--max-sup", type=float, default=None)
-    p.add_argument("--max-l2", type=float, default=None)
     p.add_argument("--max-z", type=float, default=None,
                    help="bound on |a - b| / se; needs an 'se' column in either file")
     p.add_argument("--report", default=None, help="write the JSON report here")
@@ -344,7 +335,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "compare":
             return cmd_compare(args.file_a, args.file_b, args.max_sup,
-                               args.max_l2, args.max_z, args.report)
+                               args.max_z, args.report)
         cfg = ExperimentConfig.load(args.config, args.overrides)
         if args.command == "kernel":
             return cmd_kernel(cfg)

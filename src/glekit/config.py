@@ -15,6 +15,7 @@ from .errors import ValidationError
 from .io import _json_default
 from .poly import DEFAULT_TERM_CAP
 from .systems import BUILTIN_SYSTEMS, PolySystem, displacement_index, load_system, momentum_index
+from .volterra import TimeGrid
 
 
 def _read(cls, section: str, data):
@@ -131,6 +132,8 @@ class ObservableConfig:
             return self.var
         if not system.is_chain:
             raise ValidationError("field/site observables need a chain system")
+        if not 0 <= self.site < system.params["n_sites"]:
+            raise ValidationError("observable site outside the chain")
         index = displacement_index if self.field == "r" else momentum_index
         return index(system, self.site)
 
@@ -154,12 +157,8 @@ class KernelConfig:
             raise ValidationError("kernel delta must be a number, null or 'consistency'")
         if self.order < 0:
             raise ValidationError("kernel order must be >= 0")
-
-
-@dataclass
-class GridConfig:
-    horizon: float = 10.0
-    dt: float = 1e-2
+        if self.term_cap < 1:
+            raise ValidationError("kernel term_cap must be >= 1")
 
 
 @dataclass
@@ -171,6 +170,8 @@ class MCConfig:
     def __post_init__(self):
         if not self.sim_dt > 0:
             raise ValidationError("mc sim_dt must be positive")
+        if self.seed < 0:
+            raise ValidationError("mc seed must be >= 0")
 
 
 @dataclass
@@ -180,13 +181,17 @@ class KLConfig:
     seed: int = 0
     export_xi: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("kl seed must be >= 0")
+
 
 @dataclass
 class ExperimentConfig:
     system: SystemConfig              # required: a builtin name or a file
     observable: ObservableConfig      # required: the observed variable
     kernel: KernelConfig = field(default_factory=KernelConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: TimeGrid = field(default_factory=TimeGrid)
     mc: MCConfig = field(default_factory=MCConfig)
     kl: KLConfig = field(default_factory=KLConfig)
     gamma: float = 1.0                # inverse temperature of the Gibbs measure

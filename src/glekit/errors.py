@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Three families, told apart by the CLI's exit codes: ``ValidationError``
+(bad input, exit 2), ``NumericError`` (numerical failure, exit 3) and
+``TermBudgetError`` (the polynomial term cap, exit 4).
+"""
 
 
 class GlekitError(Exception):
@@ -7,10 +12,6 @@ class GlekitError(Exception):
 
 class ValidationError(GlekitError, ValueError):
     """Bad user input: malformed config, inconsistent shapes, unknown keys."""
-
-
-class DimensionMismatchError(ValidationError):
-    """A variable index lies outside the operator's variable table."""
 
 
 class TermBudgetError(GlekitError, RuntimeError):
@@ -25,24 +26,5 @@ class TermBudgetError(GlekitError, RuntimeError):
         self.power_reached = power_reached
 
 
-class InvalidDensityError(ValidationError):
-    """Non-integrable or otherwise ill-posed 1D density configuration."""
-
-
-class MissingDensityError(ValidationError):
-    """A polynomial variable has no density in the product measure."""
-
-
 class NumericError(GlekitError, RuntimeError):
     """Numerical failure: non-finite values, singular steps, blow-up."""
-
-
-class ConditioningError(NumericError):
-    """A time-stepping linear solve became ill-conditioned.
-
-    ``node`` records the grid node at which the solve failed.
-    """
-
-    def __init__(self, message: str, node: int | None = None):
-        super().__init__(message)
-        self.node = node

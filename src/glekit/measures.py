@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import special
 
-from .errors import InvalidDensityError, MissingDensityError
+from .errors import ValidationError
 from .poly import Polynomial
 
 QUANTILE_GRID = 4001  # points of the trapezoid table of a numeric density
@@ -71,7 +71,7 @@ class Gaussian(Density1D):
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise InvalidDensityError("Gaussian gamma must be positive")
+            raise ValidationError("Gaussian gamma must be positive")
 
     def _moment(self, m: int):
         if m % 2 == 1:
@@ -94,12 +94,11 @@ class QuarticGibbs(Density1D):
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise InvalidDensityError("QuarticGibbs gamma must be positive")
+            raise ValidationError("QuarticGibbs gamma must be positive")
         if self.beta1 < 0:
-            raise InvalidDensityError("QuarticGibbs beta1 must be nonnegative")
+            raise ValidationError("QuarticGibbs beta1 must be nonnegative")
         if self.beta1 == 0 and self.alpha1 <= 0:
-            raise InvalidDensityError(
-                "non-integrable density: beta1 = 0 requires alpha1 > 0")
+            raise ValidationError("non-integrable density: beta1 = 0 requires alpha1 > 0")
 
     @functools.cached_property
     def _table(self):
@@ -117,7 +116,7 @@ class QuarticGibbs(Density1D):
         while -logpdf(well + d) < 740.0:
             d *= 1.5
             if d > 1e8:
-                raise InvalidDensityError("quartic density fails to decay")
+                raise ValidationError("quartic density fails to decay")
         return _grid_table(logpdf, well + d)
 
     def _moment(self, m: int):
@@ -141,7 +140,7 @@ class CustomDensity(Density1D):
 
     def __post_init__(self):
         if self.halfwidth <= 0 or self.nodes < 8:
-            raise InvalidDensityError("CustomDensity needs halfwidth > 0, nodes >= 8")
+            raise ValidationError("CustomDensity needs halfwidth > 0, nodes >= 8")
 
     @functools.cached_property
     def _nodes(self):
@@ -152,7 +151,7 @@ class CustomDensity(Density1D):
         dens = np.exp(np.asarray(self.log_density(x), dtype=float))
         z = float(np.dot(w, dens))
         if not np.isfinite(z) or z <= 0:
-            raise InvalidDensityError("custom density does not normalize")
+            raise ValidationError("custom density does not normalize")
         return x, w * dens / z
 
     def _moment(self, m: int) -> float:
@@ -181,7 +180,7 @@ class ProductMeasure:
         try:
             return self.densities[v]
         except KeyError:
-            raise MissingDensityError(f"no density for variable {v}") from None
+            raise ValidationError(f"no density for variable {v}") from None
 
     @classmethod
     def uniform(cls, density: Density1D, dimension: int) -> "ProductMeasure":

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import DimensionMismatchError, TermBudgetError, ValidationError
+from .errors import TermBudgetError, ValidationError
 
 # Key of a monomial: ((var, exp), ...) sorted by var, all exps > 0.
 MonomialKey = tuple[tuple[int, int], ...]
@@ -223,10 +223,10 @@ class LiouvilleOperator:
                 raise ValidationError(f"duplicate target variable {target}")
             seen.add(target)
             if not 0 <= target < dimension:
-                raise DimensionMismatchError(
+                raise ValidationError(
                     f"target {target} outside variable table of size {dimension}")
             if rhs.max_variable() >= dimension:
-                raise DimensionMismatchError(
+                raise ValidationError(
                     f"rhs of target {target} uses variable "
                     f"{rhs.max_variable()} >= dimension {dimension}")
         self.dimension = dimension
@@ -258,7 +258,7 @@ def apply_liouville(op: LiouvilleOperator, poly: Polynomial,
     rhs monomial minus one unit of the target) and hash-merges like terms.
     """
     if poly.max_variable() >= op.dimension:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"polynomial uses variable {poly.max_variable()} "
             f">= dimension {op.dimension}")
     rhs_map = op._rhs_map

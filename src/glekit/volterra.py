@@ -18,15 +18,15 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConditioningError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i*dt, i = 0..round(T/dt)."""
 
-    dt: float
-    horizon: float
+    dt: float = 1e-2
+    horizon: float = 10.0
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
@@ -168,7 +168,7 @@ def extract_kernel(c: Series, omega: float) -> Series:
     c0 = vals[0]
     pivot = 0.5 * dt * c0
     if abs(pivot) < 1e-12 * dt:
-        raise ConditioningError("deconvolution pivot |C(0)| dt/2 too small", node=0)
+        raise NumericError("deconvolution pivot |C(0)| dt/2 too small")
     d = _derivative_4(vals, dt)
     k = np.empty(n + 1)
     k[0] = (_second_derivative_at0(vals, dt) - omega * d[0]) / c0

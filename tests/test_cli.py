@@ -302,6 +302,17 @@ def test_mc_observable_var_is_the_chain_variable(tmp_path):
                                                 "power": 1}
 
 
+@pytest.mark.parametrize("site", [8, -1])
+def test_observable_site_outside_the_chain_exit_code(tmp_path, capsys, site):
+    # sites of an 8-site chain are 0..7; an API caller's index wraps, a config's does not
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": "harmonic_chain", "n_sites": 8},
+                       observable={"field": "p", "site": site})
+    assert main(["kernel", str(cfg)]) == 2
+    assert "observable site outside the chain" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mc_command_and_compare(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(out))
@@ -421,8 +432,9 @@ def test_kl_exports_the_sampled_amplitudes(tmp_path, capsys):
     config = Path(__file__).resolve().parents[1] / "configs" / "fpu_quartic.json"
     out = tmp_path / "out"
     code = main(["kl", str(config), *[arg for kv in (
-        "system.n_sites=8", "kernel.order=8", "grid.horizon=1.0", "kl.n_samples=2000",
-        "kl.export_xi=true", f"output_dir={out}") for arg in ("--set", kv)]])
+        "system.n_sites=8", "observable.site=2", "kernel.order=8", "grid.horizon=1.0",
+        "kl.n_samples=2000", "kl.export_xi=true", f"output_dir={out}")
+        for arg in ("--set", kv)]])
     assert code == 0
     assert "kl: rank 5, sampled rank 2," in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
@@ -545,7 +557,7 @@ def test_set_overrides_and_validation(tmp_path):
     "mc.n_samples=abc", "kernel.order=1.5", "kl.export_xi=1", "output_dir=3",
     "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0",
     "kernel.skew=true", "system.beta1=1.0", "system.beta1=0", "observable.var=3",
-    "observable.site=null"])
+    "observable.site=null", "mc.seed=-1", "kl.seed=-1", "kernel.term_cap=0"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg), "--set", override]) == 2

@@ -19,11 +19,13 @@ from glekit.io import read_columns
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
-# --set overrides that shrink each experiment to a few seconds
+# --set overrides that shrink each experiment to a few seconds; site 2 of the
+# 8-site chain is where the configs' site 50 of 100 lies modulo 8
 SMOKE = {
-    "fpu_quartic.json": ["system.n_sites=8", "kernel.order=8", "grid.horizon=1.0",
-                         "mc.n_samples=200", "kl.n_samples=2000"],
-    "harmonic_chain.json": ["system.n_sites=8", "grid.horizon=2", "grid.dt=0.01"],
+    "fpu_quartic.json": ["system.n_sites=8", "observable.site=2", "kernel.order=8",
+                         "grid.horizon=1.0", "mc.n_samples=200", "kl.n_samples=2000"],
+    "harmonic_chain.json": ["system.n_sites=8", "observable.site=2", "grid.horizon=2",
+                            "grid.dt=0.01"],
 }
 OUTPUTS = {
     "fpu_quartic.json": ["fpu/correlate/correlation.csv", "fpu/kl/noise_acf.csv",
@@ -99,8 +101,8 @@ def test_entry_point_exit_codes(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=300)
 
-    proc = run("--set", "system.n_sites=8", "--set", "kernel.order=4",
-               "--set", "grid.horizon=1", "--set", "output_dir=out")
+    proc = run("--set", "system.n_sites=8", "--set", "observable.site=2",
+               "--set", "kernel.order=4", "--set", "grid.horizon=1", "--set", "output_dir=out")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "kernel.csv").stat().st_size > 0
     proc = run("--set", "threads=2")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glekit.errors import DimensionMismatchError, TermBudgetError
+from glekit.errors import TermBudgetError, ValidationError
 from glekit.poly import LiouvilleOperator, Polynomial, apply_liouville, liouville_powers
 from glekit.systems import fpu_chain, harmonic_chain, kraichnan_orszag
 
@@ -108,7 +108,7 @@ def test_single_oscillator_powers():
 
 
 def test_out_of_range_variable_rejected():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="polynomial uses variable 5 >= dimension 3"):
         apply_liouville(KO, Polynomial.variable(5))
 
 
