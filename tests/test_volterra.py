@@ -1,6 +1,7 @@
 """Correlation solver, kernel deconvolution, fluctuation-mode stepping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,8 +171,9 @@ def test_general_mode_needs_kernel():
         GeneralMode()
 
 
-# The three formulas below are the hand-written loops the shared marcher and
-# the known-kernel convolution replaced, kept as references.
+# The formulas below are the hand-written loops the shared marcher, the
+# Toeplitz deconvolution and the known-kernel convolution replaced, kept as
+# references.
 
 def _reference_correlation(omega, k, dt, c0):
     n = len(k) - 1
@@ -195,6 +197,21 @@ def _reference_correlation(omega, k, dt, c0):
             conv_next += np.dot(k[i:0:-1], c[1:i + 1])
         c[i + 1] = c[i] + 0.5 * dt * (fi + omega * pred + dt * conv_next)
     return c
+
+
+def _reference_extract(c, omega, dt):
+    """Forward substitution for K, pivot dt*C(0)/2, node 0 from the t=0 identity."""
+    from glekit.volterra import _derivative_4, _second_derivative_at0
+    n = len(c) - 1
+    d = _derivative_4(c, dt)
+    k = np.empty(n + 1)
+    k[0] = (_second_derivative_at0(c, dt) - omega * d[0]) / c[0]
+    for i in range(1, n + 1):
+        resid = d[i] - omega * c[i] - dt * 0.5 * k[0] * c[i]
+        if i > 1:
+            resid -= dt * np.dot(k[i - 1:0:-1], c[1:i])
+        k[i] = resid / (0.5 * dt * c[0])
+    return k
 
 
 def _reference_paths(omega, k, f, u0, dt):
@@ -255,7 +272,7 @@ def test_marcher_matches_reference_formulas(dt, horizon):
     e = np.column_stack([_cosine_basis(grid, j) for j in range(4)])
     lam = np.array([1.0, 0.6, 0.3, 0.1])
     hs = solve_fluctuation_modes(e, lam, -0.3, GeneralMode(kernel=k), grid)
-    de = np.column_stack([_derivative_4(e[:, j], dt) for j in range(4)])
+    de = _derivative_4(e, dt)
     ref = _reference_known_kernel_modes(k, e, de + 0.3 * e, dt)
     assert _close(np.column_stack([h.values for h in hs]), ref)
 
@@ -283,3 +300,53 @@ def test_batched_march_matches_solo_columns():
     # without the overflowing column the finite columns come out the same
     assert np.array_equal(batch[:, :-1],
                           _march(kernels[:, :-1], omegas[:-1], ones[:-1], grid.dt, zeros))
+
+
+def test_march_is_causal_on_a_growing_solution():
+    # C grows to about 3e5; a solve that mixed in later nodes, such as one
+    # FFT over the whole series, would swamp the early nodes with their
+    # rounding.  Each node stays within rounding of the reference relative
+    # to the largest |C| up to that node.
+    grid = TimeGrid(dt=0.01, horizon=10.0)
+    k = 3.0 * np.exp(-grid.times)
+    c = solve_correlation(0.0, k, grid).values
+    ref = _reference_correlation(0.0, k, grid.dt, 1.0)
+    assert ref[-1] > 1e5
+    assert np.all(np.abs(c - ref) <= 1e-13 * np.maximum.accumulate(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.01])
+def test_extract_kernel_matches_forward_substitution(dt):
+    grid = TimeGrid(dt=dt, horizon=10.0)
+    c = special.jv(0, 2 * grid.times)
+    k = extract_kernel(Series(grid, c), 0.0).values
+    ref = _reference_extract(c, 0.0, dt)
+    # the deconvolution amplifies rounding by its conditioning, not by the
+    # solver: both stay 1e-6 from the exact kernel
+    assert np.max(np.abs(k - ref)) <= 1e-9 * np.max(np.abs(ref))
+    memoryless = np.exp(-grid.times)
+    k = extract_kernel(Series(grid, memoryless), -1.0).values
+    assert np.max(np.abs(k - _reference_extract(memoryless, -1.0, dt))) <= 2e-11
+
+
+def test_batched_march_memory_is_output_plus_fixed_scratch():
+    # the n=22 selection scan's batch: column blocks and in-place buffers
+    # keep the scratch below the size of the output
+    from glekit.volterra import _march
+    grid = TimeGrid(dt=0.01, horizon=4.0)
+    rng = np.random.default_rng(61)
+    scale, amp = rng.uniform(0.5, 1.5, 297), rng.uniform(0.5, 2.0, 297)
+    kernels = amp * bessel_kernel(np.outer(grid.times, scale))
+    omegas = rng.uniform(-0.5, 0.5, 297)
+    tracemalloc.start()
+    try:
+        c = _march(kernels, omegas, np.ones(297), grid.dt, np.zeros(grid.n_nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.shape == (401, 297) and np.all(np.isfinite(c))
+    assert peak <= 2 * c.nbytes, (peak, c.nbytes)
+    # the columns never mix, whichever block they fall in
+    cols = slice(20, 30)
+    assert np.array_equal(c[:, cols], _march(kernels[:, cols], omegas[cols], np.ones(10),
+                                             grid.dt, np.zeros(grid.n_nodes)))
