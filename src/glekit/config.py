@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ValidationError
-from .io import _json_default
 from .poly import DEFAULT_TERM_CAP
 from .systems import BUILTIN_SYSTEMS, PolySystem, displacement_index, load_system, momentum_index
 from .volterra import TimeGrid
@@ -128,7 +127,8 @@ class ObservableConfig:
     def variable_index(self, system: PolySystem) -> int:
         if self.var is not None:
             if not 0 <= self.var < system.dimension:
-                raise ValidationError("observable variable outside the system")
+                raise ValidationError(f"observable var {self.var} is outside the "
+                                      f"system's {system.dimension} variables")
             return self.var
         if not system.is_chain:
             raise ValidationError("field/site observables need a chain system")
@@ -214,12 +214,9 @@ class ExperimentConfig:
             data = _apply_override(data, ov)
         return _read(cls, "config", data)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def manifest(self, command: str, extra: dict | None = None) -> dict:
         m = {"tool": "glekit", "version": __version__, "command": command,
-             "config": self.to_dict()}
+             "config": dataclasses.asdict(self)}
         m.update(extra or {})
         return m
 
@@ -238,7 +235,7 @@ def _apply_override(data: dict, override: str) -> dict:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ValidationError(f"cannot override through scalar {part!r}")
+            raise ValidationError(f"cannot override {key} through scalar {part!r}")
     node[parts[-1]] = value
     return data
 
@@ -251,5 +248,5 @@ def write_manifest(path, manifest: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

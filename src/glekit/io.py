@@ -26,7 +26,7 @@ def write_columns(path, columns: dict[str, np.ndarray], meta: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True, default=_json_default) + "\n")
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(names) + "\n")
         for i in range(length):
             fh.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
@@ -52,17 +52,6 @@ def read_columns(path):
         raise ValidationError(f"{path} has {len(names)} column names "
                               f"but {data.shape[1]} columns")
     return {n: data[:, i] for i, n in enumerate(names)}, meta
-
-
-def _json_default(obj):
-    from fractions import Fraction
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def write_series(path, series: Series, meta: dict | None = None,

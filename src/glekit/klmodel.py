@@ -126,9 +126,8 @@ def proves_not_psd(c: Series, layout: NystromLayout) -> bool:
     costs about a third of it.
     """
     from scipy.linalg.lapack import dpotrf
-    # the weights are positive, so |B| is the Nystrom matrix of |C|
-    u = np.max(np.sum(layout.matrix(np.abs(c.values)), axis=1))
     b = layout.matrix(c.values)
+    u = np.max(np.sum(np.abs(b), axis=1))
     n = len(b)
     b.flat[::n + 1] += u * (CLIP_TOL * (1 + CERT_MARGIN) + n * (n + 1) * np.finfo(float).eps)
     # b is symmetric, so b.T is the same matrix in the Fortran order that
@@ -160,8 +159,8 @@ def kl_decompose(c: Series) -> KLBasis:
         raise ValidationError(
             "input is not positive semidefinite beyond the clip tolerance")
     lam, y = lam[::-1], y[:, ::-1]
-    trace_discrete = float(np.sum(np.clip(lam, 0.0, None)))
     lam = np.clip(lam, 0.0, None)
+    trace_discrete = float(np.sum(lam))
     keep = lam > ENERGY_FLOOR * lam[0]
     lam = lam[keep]
     modes = y[:, keep] / layout.sw[:, None]
@@ -189,7 +188,7 @@ class GaussianMarginal:
 
 @dataclass(frozen=True)
 class DensityMarginal:
-    """Marginal given by a 1D density: its own quantile, variance from its moments."""
+    """Marginal given by a 1D density: its own quantile, and its second moment as variance."""
 
     density: Density1D
 
@@ -198,8 +197,7 @@ class DensityMarginal:
 
     @property
     def variance(self) -> float:
-        m1 = moment(self.density, 1)
-        return float(moment(self.density, 2) - m1 * m1)
+        return float(moment(self.density, 2))
 
 
 @dataclass

@@ -3,11 +3,12 @@
 A density answers ``moment(m)``, its m-th raw moment, and ``quantile(u)``,
 its inverse CDF on an array of probabilities (the KL sampler's target).  No
 other code asks which kind of density it holds, so any object with these
-two methods can stand in a :class:`ProductMeasure`.  The stock densities
-cache moments on the instance (:class:`Density1D`) and are even, so odd
-moments are exactly zero (an ``int`` 0, not a small float), and a pair of
-terms contributes to E[f*g] only when their odd-exponent variables
-coincide: odd Liouville moments of Hamiltonian chains vanish identically.
+two methods can stand in a :class:`ProductMeasure`.  The contract: a
+density is even, and its odd moments are exactly zero (an ``int`` 0, not a
+small float).  :func:`product_expectation` relies on it: a pair of terms
+contributes to E[f*g] only when their odd-exponent variables coincide.
+:meth:`Density1D.moment` states the rule once for the stock densities and
+caches the even moments on the instance.
 A :class:`Gaussian` has closed forms: exact (``int``/``Fraction``) moments
 for a rational gamma, and ``ndtri`` quantiles.  A :class:`QuarticGibbs`
 density reads both from one trapezoid table on [-a, a], where the density
@@ -17,7 +18,7 @@ at both ends the trapezoid rule converges geometrically in the step
 (Trefethen & Weideman, SIAM Rev. 56, 385, 2014): 4001 points give moments
 exact to rounding.  A :class:`CustomDensity` need not vanish at its ends,
 so it takes Gauss-Legendre moments, and quantiles from the same kind of
-table.
+table; it rejects a log-density that is not even on its nodes.
 
 Expectations are array code.  A polynomial becomes a small-int exponent
 matrix (terms x the sorted union of the supports) and a coefficient vector;
@@ -42,13 +43,16 @@ from .errors import ValidationError
 from .poly import Polynomial
 
 QUANTILE_GRID = 4001  # points of the trapezoid table of a numeric density
+LEGENDRE_NODES = 801  # Gauss-Legendre nodes of a CustomDensity's moments
 
 
 class Density1D:
-    """Base of the stock densities: subclasses supply ``_moment`` and ``quantile``."""
+    """Base of the stock densities: subclasses supply even ``_moment`` and ``quantile``."""
 
     def moment(self, m: int):
-        """m-th raw moment, computed once per instance."""
+        """m-th raw moment: int 0 for odd m, even ones computed once per instance."""
+        if m % 2:
+            return 0
         cache = self.__dict__.setdefault("_moments", {0: 1})  # normalized
         if m not in cache:
             cache[m] = self._moment(m)
@@ -74,8 +78,6 @@ class Gaussian(Density1D):
             raise ValidationError("Gaussian gamma must be positive")
 
     def _moment(self, m: int):
-        if m % 2 == 1:
-            return 0
         g = self.gamma
         var = 1.0 / g if isinstance(g, float) else Fraction(1) / g
         return math.prod(range(3, m, 2)) * var ** (m // 2)
@@ -120,8 +122,6 @@ class QuarticGibbs(Density1D):
         return _grid_table(logpdf, well + d)
 
     def _moment(self, m: int):
-        if m % 2 == 1:
-            return 0
         x, pdf, _ = self._table
         return float(np.trapezoid(x**m * pdf, x) / np.trapezoid(pdf, x))
 
@@ -132,26 +132,32 @@ class QuarticGibbs(Density1D):
 
 @dataclass(frozen=True)
 class CustomDensity(Density1D):
-    """Unnormalized log-density on a symmetric quadrature domain [-a, a]."""
+    """Unnormalized even log-density on a symmetric quadrature domain [-a, a]."""
 
     log_density: Callable[[np.ndarray], np.ndarray]
     halfwidth: float
-    nodes: int = 801
 
     def __post_init__(self):
-        if self.halfwidth <= 0 or self.nodes < 8:
-            raise ValidationError("CustomDensity needs halfwidth > 0, nodes >= 8")
+        if self.halfwidth <= 0:
+            raise ValidationError("CustomDensity needs halfwidth > 0")
+        self._nodes  # reject an uneven log-density now, not at its first moment
 
     @functools.cached_property
     def _nodes(self):
-        """Gauss-Legendre nodes on [-a, a] and normalized density weights."""
-        x, w = np.polynomial.legendre.leggauss(self.nodes)
+        """Gauss-Legendre nodes on [-a, a] and normalized density weights.
+
+        The nodes are exactly antisymmetric; a density that differs from its
+        mirror image there by more than 1e-12 of its peak is not even.
+        """
+        x, w = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
         x = x * self.halfwidth
         w = w * self.halfwidth
         dens = np.exp(np.asarray(self.log_density(x), dtype=float))
         z = float(np.dot(w, dens))
         if not np.isfinite(z) or z <= 0:
             raise ValidationError("custom density does not normalize")
+        if np.max(np.abs(dens - dens[::-1])) > 1e-12 * np.max(dens):
+            raise ValidationError("custom density is not even on [-a, a]")
         return x, w * dens / z
 
     def _moment(self, m: int) -> float:
@@ -164,9 +170,9 @@ class CustomDensity(Density1D):
 
 
 def moment(d: Density1D, m: int):
-    """m-th raw moment of a 1D density; odd moments of even densities are exact 0."""
+    """m-th raw moment of a 1D density; odd moments are exact 0 by contract."""
     if m < 0 or not isinstance(m, int):
-        raise ValueError("moment order must be a nonnegative integer")
+        raise ValidationError("moment order must be a nonnegative integer")
     return d.moment(m)
 
 

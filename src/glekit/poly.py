@@ -127,9 +127,6 @@ class Polynomial:
             other = Polynomial.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             if other == 0:
@@ -151,18 +148,6 @@ class Polynomial:
         return Polynomial._raw(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("polynomial powers must be nonnegative integers")
-        out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):

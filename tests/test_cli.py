@@ -557,11 +557,41 @@ def test_set_overrides_and_validation(tmp_path):
     "mc.n_samples=abc", "kernel.order=1.5", "kl.export_xi=1", "output_dir=3",
     "threads=2", "gamma=NaN", "gamma=Infinity", "mc.sim_dt=0", "kl.kmax=0",
     "kernel.skew=true", "system.beta1=1.0", "system.beta1=0", "observable.var=3",
-    "observable.site=null", "mc.seed=-1", "kl.seed=-1", "kernel.term_cap=0"])
+    "observable.site=null", "mc.seed=-1", "kl.seed=-1", "kernel.term_cap=0",
+    "system.file=sys.json", "observable.power=0", "observable.field=q",
+    'observable={"var": 32}', 'system={"name": "kraichnan_orszag"}', "kernel.basis=x",
+    "kernel.delta=auto", "kernel.order=-1", "gamma", "gamma.x=1"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg), "--set", override]) == 2
     assert override.split("=")[0].split(".")[-1] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "no data rows"), (["0.0,1.0,2.0", "0.1,1.0,2.0"], "2 column names but 3 columns"),
+    (["0.0,1.0"], "needs at least two rows")], ids=["no_rows", "wide_rows", "one_row"])
+def test_compare_rejects_a_short_or_wide_file(tmp_path, capsys, rows, message):
+    grid = TimeGrid(dt=0.1, horizon=1.0)
+    write_series(tmp_path / "a.csv", Series(grid, np.ones(grid.n_nodes)), {})
+    (tmp_path / "bad.csv").write_text("\n".join(["# {}", "t,value", *rows]) + "\n")
+    report = tmp_path / "rep.json"
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "bad.csv"),
+                 "--max-sup", "0.5", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and message in err
+    assert not report.exists()
+
+
+def test_unstable_verlet_step_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": "harmonic_chain", "n_sites": 8},
+                       observable={"field": "p", "site": 0},
+                       grid={"dt": 1.5, "horizon": 15.0},
+                       mc={"n_samples": 4, "seed": 1, "sim_dt": 1.5})
+    assert main(["mc", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: Verlet relative energy drift 8e+15 exceeds 900")
     assert not (tmp_path / "out").exists()
 
 

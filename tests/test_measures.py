@@ -158,9 +158,41 @@ def test_invalid_density_configs():
 
 def test_custom_density_moments():
     # uniform on [-1, 1]: <x^2> = 1/3, <x^4> = 1/5
-    d = CustomDensity(lambda x: np.zeros_like(x), 1.0, nodes=201)
+    d = CustomDensity(lambda x: np.zeros_like(x), 1.0)
     assert moment(d, 2) == pytest.approx(1 / 3, rel=1e-10)
     assert moment(d, 4) == pytest.approx(1 / 5, rel=1e-10)
+
+
+def test_custom_density_rejects_uneven_log_density():
+    # product_expectation pairs terms by their odd variables, so an uneven
+    # density would give E[(x0 + x1^2)(x0^2 + x1)] = 0.309 instead of 1.647
+    with pytest.raises(ValidationError, match="not even"):
+        CustomDensity(lambda x: -x**4 + 2 * x, 4.0)
+
+
+def test_odd_moments_are_int_zero_for_every_density():
+    for d in (Gaussian(Fraction(3)), QuarticGibbs(40.0), CustomDensity(lambda x: -x**4, 6.0)):
+        for m in (1, 3, 7):
+            assert moment(d, m) == 0 and isinstance(moment(d, m), int)
+
+
+@pytest.mark.parametrize("order", [-1, 1.5])
+def test_moment_order_must_be_a_nonnegative_int(order):
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        moment(Gaussian(1), order)
+
+
+def test_product_expectation_matches_materialized_product_on_custom_density():
+    """Terms mixing odd and even exponents on 3 variables of an even custom
+    density: pairing by odd variables loses nothing.  Positive coefficients
+    keep E[f*g] away from 0, so the check is relative."""
+    rng = np.random.default_rng(23)
+    mu = ProductMeasure.uniform(CustomDensity(lambda x: -x**4 / 4 - x**2 / 2, 5.0), 3)
+    for _ in range(10):
+        f, g = random_poly(rng, 3, 6, signed=False), random_poly(rng, 3, 5, signed=False)
+        for a, b in ((f, g), (f, f)):
+            want = expectation(a * b, mu)
+            assert product_expectation(a, b, mu) == pytest.approx(want, rel=1e-12)
 
 
 def test_expectation_factorizes():

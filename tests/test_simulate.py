@@ -13,6 +13,7 @@ from glekit.simulate import (
     ChainState,
     Observable,
     energy,
+    int_power,
     mc_autocorrelation,
     sample_equilibrium,
     sample_quartic_marginal,
@@ -21,6 +22,18 @@ from glekit.simulate import (
 from glekit import simulate
 from glekit.simulate import _Verlet
 from glekit.volterra import TimeGrid
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_int_power_matches_pow(m):
+    x = np.random.default_rng(m).normal(size=(3, 17))
+    x0 = x.copy()
+    want = x**m
+    np.testing.assert_allclose(int_power(x, m), want, rtol=1e-14, atol=0)
+    out = np.empty_like(x)
+    assert int_power(x, m, out=out) is out
+    np.testing.assert_allclose(out, want, rtol=1e-14, atol=0)
+    assert np.array_equal(x, x0)
 
 
 def test_params_validation():
