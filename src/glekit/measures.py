@@ -59,10 +59,17 @@ class Density1D:
         return cache[m]
 
 
+def _exp_from_peak(logpdf) -> np.ndarray:
+    """exp(logpdf - max logpdf): an additive constant cannot under- or overflow it."""
+    logpdf = np.asarray(logpdf, dtype=float)
+    peak = np.max(logpdf)
+    return np.exp(logpdf - peak if np.isfinite(peak) else logpdf)
+
+
 def _grid_table(logpdf, a: float):
-    """x on [-a, a], the density exp(logpdf) there and its trapezoid CDF, ending at 1."""
+    """x on [-a, a], exp(logpdf) there scaled to peak 1, and its trapezoid CDF, ending at 1."""
     x = np.linspace(-a, a, QUANTILE_GRID)
-    pdf = np.exp(np.asarray(logpdf(x), dtype=float))
+    pdf = _exp_from_peak(logpdf(x))
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(x) / 2)])
     return x, pdf, cdf / cdf[-1]
 
@@ -152,7 +159,7 @@ class CustomDensity(Density1D):
         x, w = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
         x = x * self.halfwidth
         w = w * self.halfwidth
-        dens = np.exp(np.asarray(self.log_density(x), dtype=float))
+        dens = _exp_from_peak(self.log_density(x))
         z = float(np.dot(w, dens))
         if not np.isfinite(z) or z <= 0:
             raise ValidationError("custom density does not normalize")

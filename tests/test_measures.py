@@ -170,6 +170,15 @@ def test_custom_density_rejects_uneven_log_density():
         CustomDensity(lambda x: -x**4 + 2 * x, 4.0)
 
 
+def test_custom_density_ignores_an_additive_log_constant():
+    # exp(-800) underflows to 0, so the log-density is exponentiated from its peak
+    near, far = (CustomDensity(lambda x, c=c: -x**2 / 2 - c, 8.0) for c in (700.0, 800.0))
+    assert moment(far, 2) == pytest.approx(moment(near, 2), abs=1e-12)
+    assert moment(far, 2) == pytest.approx(1.0, abs=1e-12)
+    u = np.linspace(0.01, 0.99, 9)
+    np.testing.assert_allclose(far.quantile(u), near.quantile(u), rtol=0, atol=1e-12)
+
+
 def test_odd_moments_are_int_zero_for_every_density():
     for d in (Gaussian(Fraction(3)), QuarticGibbs(40.0), CustomDensity(lambda x: -x**4, 6.0)):
         for m in (1, 3, 7):

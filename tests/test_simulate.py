@@ -1,6 +1,8 @@
 """Symplectic chain integration, equilibrium sampling, MC auto-correlations."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,74 +93,137 @@ def test_verlet_time_reversal():
     assert np.max(np.abs(back.p - state.p)) < 1e-12
 
 
-def _reference_verlet_step(r, p, params, dt):
-    """Kick-drift-kick written out with fresh arrays, as the stepper defines it."""
-    def force(x):
-        vp = params.alpha1 * x if params.beta1 == 0 else \
-            x * (params.alpha1 + params.beta1 * (x * x))
-        return np.roll(vp, -1, axis=-1) - vp
-    p = p + 0.5 * dt * force(r)
-    r = r + dt * (p - np.roll(p, 1, axis=-1)) / params.mass
-    return r, p + 0.5 * dt * force(r)
+def _digest(state):
+    return hashlib.sha256(state.r.tobytes() + state.p.tobytes()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("beta1,mass,batch,n_sites,dt", [
-    pytest.param(0.0, 1.0, None, 100, 1e-2, id="0.0-1.0-None"),
-    pytest.param(1.0, 1.0, 300, 100, 1e-2, id="1.0-1.0-300"),
-    pytest.param(0.3, 1.7, 7, 100, 1e-2, id="0.3-1.7-7"),
+def _leapfrog_error(verlet, want):
+    """Worst of max|r - r_want| / max|r_want| and the same for synchronised p."""
+    p = verlet.momenta(np.empty_like(verlet.r))
+    return max(np.max(np.abs(verlet.r - want.r)) / np.max(np.abs(want.r)),
+               np.max(np.abs(p - want.p)) / np.max(np.abs(want.p)))
+
+
+# The digests are those of 50 kick-drift-kick steps as first recorded (commit
+# a893f91), when the in-place stepper matched the written-out formula bit for bit.
+@pytest.mark.parametrize("beta1,mass,batch,n_sites,dt,digest", [
+    pytest.param(0.0, 1.0, None, 100, 1e-2, "d5d8aed67e15500c", id="0.0-1.0-None"),
+    pytest.param(1.0, 1.0, 300, 100, 1e-2, "6ce0f0e8da399f47", id="1.0-1.0-300"),
+    pytest.param(0.3, 1.7, 7, 100, 1e-2, "bae0706f41903413", id="0.3-1.7-7"),
     # row seams are a third of all entries of the smallest chain
-    pytest.param(1.0, 1.0, 40, 3, 1e-2, id="3-sites"),
-    pytest.param(0.3, 1.7, None, 3, 1e-2, id="3-sites-unbatched"),
+    pytest.param(1.0, 1.0, 40, 3, 1e-2, "e0c0c7dbf6059013", id="3-sites"),
+    pytest.param(0.3, 1.7, None, 3, 1e-2, "9db02547dde2c90a", id="3-sites-unbatched"),
     # blocks of 250 rows: 250 + 250 + 60
-    pytest.param(1.0, 1.0, 560, 100, 1e-2, id="partial-third-block"),
-    pytest.param(0.3, 1.7, 7, 100, -1e-2, id="negative-dt")])
-def test_verlet_matches_reference_bit_for_bit(beta1, mass, batch, n_sites, dt):
-    # the in-place stepper carries the force between steps, works in replica
-    # blocks and shifts flat rows; none of it may change a single bit
+    pytest.param(1.0, 1.0, 560, 100, 1e-2, "838c380999593af0", id="partial-third-block"),
+    pytest.param(0.3, 1.7, 7, 100, -1e-2, "3b4f143f39f098fd", id="negative-dt")])
+def test_verlet_matches_reference_bit_for_bit(beta1, mass, batch, n_sites, dt, digest):
+    # step_verlet is the formula and keeps its bits; the leapfrog stepper
+    # reorders the same arithmetic, so it agrees with it only to rounding
     params = ChainParams(n_sites=n_sites, alpha1=1.2, beta1=beta1, gamma=2.0, mass=mass)
     state = sample_equilibrium(params, np.random.default_rng(6), batch=batch)
-    r, p = state.r, state.p
+    want = state
     for _ in range(50):
-        r, p = _reference_verlet_step(r, p, params, dt)
-    single = state
-    for _ in range(50):
-        single = step_verlet(single, params, dt)
+        want = step_verlet(want, params, dt)
+    assert _digest(want) == digest
     verlet = _Verlet(state, params, dt)
-    grouped = verlet.advance(50)
-    for got in (single, grouped):
-        assert np.array_equal(got.r, r) and np.array_equal(got.p, p)
-    for rows in verlet._blocks:
-        assert np.shares_memory(verlet._r[rows], verlet.state.r)
-        assert np.shares_memory(verlet._p[rows], verlet.state.p)
+    verlet.advance(50)
+    assert _leapfrog_error(verlet, want) <= 1e-13
+    for sites, _ in verlet._blocks:
+        assert np.shares_memory(verlet._r[sites], verlet.r)
+
+
+def test_verlet_bound_sees_a_full_opening_kick():
+    # negative control: P started at (dt/m) p_0, not (dt/m) p_0 - F/2, opens
+    # with a full kick, an O(dt) error that the rounding bound must catch
+    params = ChainParams(n_sites=100, alpha1=1.2, beta1=1.0, gamma=2.0)
+    state = sample_equilibrium(params, np.random.default_rng(6), batch=300)
+    want = state
+    for _ in range(50):
+        want = step_verlet(want, params, 1e-2)
+    verlet = _Verlet(state, params, 1e-2)
+    verlet._P += 0.5 * verlet._F
+    verlet.advance(50)
+    assert _leapfrog_error(verlet, want) > 1e-13
+
+
+def test_verlet_grouping_is_bit_exact(monkeypatch):
+    # how steps, blocks and replicas are grouped may not change a single bit
+    params = ChainParams(n_sites=100, alpha1=1.2, beta1=1.0, gamma=2.0)
+    state = sample_equilibrium(params, np.random.default_rng(6), batch=560)
+
+    def run(start, calls, steps):
+        verlet = _Verlet(start, params, 1e-2)
+        for _ in range(calls):
+            verlet.advance(steps)
+        return verlet.r, verlet.momenta(np.empty_like(verlet.r))
+    r, p = run(state, 1, 50)  # blocks of 250 rows: 250 + 250 + 60
+    stepwise = run(state, 50, 1)
+    monkeypatch.setattr(_Verlet, "BLOCK_SITES", 3_700)  # blocks of 37 rows
+    reblocked = run(state, 1, 50)
+    for got_r, got_p in (stepwise, reblocked):
+        assert np.array_equal(got_r, r) and np.array_equal(got_p, p)
+    for k in (0, 249, 250, 559):
+        alone_r, alone_p = run(ChainState(r=state.r[k], p=state.p[k]), 1, 50)
+        assert np.array_equal(alone_r, r[k]) and np.array_equal(alone_p, p[k])
+
+
+def test_verlet_advance_does_not_allocate():
+    # one temporary the size of this 250 x 100 state would take 200 KB
+    params = ChainParams(n_sites=100, alpha1=1.0, beta1=1.0, gamma=40.0)
+    state = sample_equilibrium(params, np.random.default_rng(7), batch=250)
+    verlet = _Verlet(state, params, 1e-3)
+    tracemalloc.start()
+    try:
+        verlet.advance(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 class _ReferenceVerlet:
-    """The stepper's interface on top of the reference formula."""
+    """The stepper's interface on top of step_verlet."""
 
     def __init__(self, state, params, dt):
-        self.state, self._params, self._dt = state, params, dt
+        self._state, self._params, self._dt = state, params, dt
+
+    @property
+    def r(self):
+        return self._state.r
 
     def advance(self, n_steps):
-        r, p = self.state.r, self.state.p
         for _ in range(n_steps):
-            r, p = _reference_verlet_step(r, p, self._params, self._dt)
-        self.state = ChainState(r=r, p=p)
-        return self.state
+            self._state = step_verlet(self._state, self._params, self._dt)
+
+    def momenta(self, out):
+        out[...] = self._state.p
+        return out
 
 
-def test_mc_matches_reference_stepper_bit_for_bit(monkeypatch):
-    # 600 replicas of 100 sites make three stepper blocks per batch
-    params = ChainParams(n_sites=100, alpha1=1.0, beta1=1.0, gamma=40.0)
-    grid = TimeGrid(dt=0.05, horizon=0.5)
-
-    def run():
-        return mc_autocorrelation(params, Observable(0, "r", 4), 1200, grid,
-                                  seed=11, sim_dt=1e-2, batch=600)
+def _assert_mc_matches_reference_stepper(monkeypatch, run):
     got = run()
     monkeypatch.setattr(simulate, "_Verlet", _ReferenceVerlet)
     want = run()
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.se, want.se)
+    # lag 0 comes from the draws alone; later lags differ by rounding
+    assert got.values[0] == want.values[0] and got.se[0] == want.se[0]
+    np.testing.assert_allclose(got.values[1:], want.values[1:], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.se[1:], want.se[1:], rtol=1e-12, atol=0)
+
+
+def test_mc_matches_reference_stepper(monkeypatch):
+    # 600 replicas of 100 sites make three stepper blocks per batch
+    params = ChainParams(n_sites=100, alpha1=1.0, beta1=1.0, gamma=40.0)
+    grid = TimeGrid(dt=0.05, horizon=0.5)
+    _assert_mc_matches_reference_stepper(monkeypatch, lambda: mc_autocorrelation(
+        params, Observable(0, "r", 4), 1200, grid, seed=11, sim_dt=1e-2, batch=600))
+
+
+def test_mc_momentum_matches_reference_stepper(monkeypatch):
+    # p is built from the leapfrog's half-step momentum at every output node
+    params = ChainParams(n_sites=100, alpha1=1.0, beta1=0.0, gamma=1.0)
+    grid = TimeGrid(dt=0.05, horizon=0.5)
+    _assert_mc_matches_reference_stepper(monkeypatch, lambda: mc_autocorrelation(
+        params, Observable(0, "p", 1), 1200, grid, seed=11, sim_dt=1e-2, batch=600))
 
 
 def test_verlet_energy_drift_harmonic_mode():
