@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,9 +22,10 @@ def _read(cls, section: str, data):
     """Dataclass ``cls`` built from the JSON object ``data``.
 
     Keys and value types come from the fields of ``cls``: a ``float`` field
-    also takes an int, and only a ``bool`` field takes a bool.  A field whose
-    type is itself a dataclass is a nested section, read the same way (from
-    ``{}`` when absent).  Range checks live in each ``__post_init__``.
+    also takes an int, only a ``bool`` field takes a bool, and no field takes
+    NaN or an infinity.  A field whose type is itself a dataclass is a nested
+    section, read the same way (from ``{}`` when absent).  Range checks live
+    in each ``__post_init__``.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{section} must be a JSON object, not {data!r}")
@@ -49,7 +51,8 @@ def _accepts(hint, value) -> bool:
     allowed = typing.get_args(hint) or (hint,)
     if float in allowed:
         allowed += (int,)
-    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
+    return (isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -270,10 +270,7 @@ def _sampling_truncation(basis: KLBasis, n_samples: int) -> KLBasis:
     keep = lam >= (10.0 / n_samples) * lam[0]
     if np.all(keep):
         return basis
-    return KLBasis(grid=basis.grid, eigenvalues=lam[keep],
-                   modes=basis.modes[:, keep],
-                   source_acf=basis.source_acf,
-                   trace_discrete=basis.trace_discrete)
+    return replace(basis, eigenvalues=lam[keep], modes=basis.modes[:, keep])
 
 
 def sample_ensemble(basis: KLBasis, marginal, n_samples: int, iters: int = 10,

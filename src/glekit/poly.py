@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import TermBudgetError, ValidationError
 
@@ -158,12 +158,9 @@ class Polynomial:
 
     __hash__ = None  # mutable-by-construction container semantics
 
-    def map_coefficients(self, fn: Callable) -> "Polynomial":
-        out = {k: fn(c) for k, c in self._terms.items()}
-        return Polynomial._raw({k: c for k, c in out.items() if c != 0})
-
     def as_float(self) -> "Polynomial":
-        return self.map_coefficients(float)
+        out = {k: float(c) for k, c in self._terms.items()}
+        return Polynomial._raw({k: c for k, c in out.items() if c != 0})
 
     def relabel(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; ``mapping`` must be injective on the support."""

@@ -142,8 +142,6 @@ class _Verlet:
     BLOCK_SITES = 25_000
 
     def __init__(self, state: ChainState, params: ChainParams, dt: float):
-        if dt == 0:
-            raise ValidationError("dt must be nonzero")
         self._c = dt / params.mass
         self._a, self._b = self._c * dt * params.alpha1, self._c * dt * params.beta1
         self._n = n = state.r.shape[-1]
@@ -243,8 +241,10 @@ def mc_autocorrelation(params: ChainParams, observable: Observable,
     relative energy change between its first and last output exceeds
     ``DRIFT_FACTOR (omega_max sim_dt)**2`` raises ``NumericError``.
     """
-    if n_samples < 2:
-        raise ValidationError("need at least two sample trajectories")
+    if n_samples < 2 or batch < 1:
+        raise ValidationError(f"need n_samples >= 2 and batch >= 1, not {n_samples} and {batch}")
+    if not 0 < sim_dt < math.inf:  # NaN fails too
+        raise ValidationError(f"sim_dt must be positive and finite, not {sim_dt!r}")
     stride = grid.dt / sim_dt
     if abs(stride - round(stride)) > 1e-9:
         raise ValidationError("grid dt must be an integer multiple of sim_dt")

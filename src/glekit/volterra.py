@@ -31,8 +31,8 @@ class TimeGrid:
     horizon: float = 10.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValidationError("dt and horizon must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.horizon < np.inf):  # NaN fails too
+            raise ValidationError("dt and horizon must be positive and finite")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValidationError("horizon must be an integer multiple of dt")

@@ -560,7 +560,8 @@ def test_set_overrides_and_validation(tmp_path):
     "observable.site=null", "mc.seed=-1", "kl.seed=-1", "kernel.term_cap=0",
     "system.file=sys.json", "observable.power=0", "observable.field=q",
     'observable={"var": 32}', 'system={"name": "kraichnan_orszag"}', "kernel.basis=x",
-    "kernel.delta=auto", "kernel.order=-1", "gamma", "gamma.x=1"])
+    "kernel.delta=auto", "kernel.order=-1", "gamma", "gamma.x=1", "grid.dt=NaN",
+    "system.alpha1=NaN", "grid.horizon=Infinity", "system.mass=Infinity", "grid.dt=Infinity"])
 def test_invalid_config_value_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
     assert main(["kernel", str(cfg), "--set", override]) == 2

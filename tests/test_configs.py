@@ -51,7 +51,7 @@ def test_fpu_config_holds_the_experiment_defaults():
     assert (cfg.observable.field, cfg.observable.site, cfg.observable.power) == ("r", 50, 1)
     assert (cfg.gamma, cfg.kernel.order, cfg.kernel.delta) == (1, 20, "consistency")
     assert (cfg.grid.horizon, cfg.grid.dt) == (5, 0.01)
-    assert (cfg.mc.n_samples, cfg.mc.sim_dt, cfg.kl.n_samples) == (10_000, 1e-3, 30_000)
+    assert (cfg.mc.n_samples, cfg.mc.sim_dt, cfg.kl.n_samples) == (10_000, 1e-2, 30_000)
 
 
 def test_harmonic_config_holds_the_experiment_defaults():

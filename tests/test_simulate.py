@@ -226,6 +226,44 @@ def test_mc_momentum_matches_reference_stepper(monkeypatch):
         params, Observable(0, "p", 1), 1200, grid, seed=11, sim_dt=1e-2, batch=600))
 
 
+def _grid_step_bias(dt):
+    """Largest |ACF at sim_dt = dt - ACF at sim_dt = 1e-3| over the lags of a
+    dt grid on [0, 2], as a fraction of lag 0, for r, r^2 and r^4 of the
+    quartic gamma=40 chain.  One seed and one batch give both runs the same
+    initial states, so they differ only by Verlet's time-step bias."""
+    params = ChainParams(n_sites=100, alpha1=1.0, beta1=1.0, gamma=40.0)
+    grid = TimeGrid(dt=dt, horizon=2.0)
+    worst = 0.0
+    for m in (1, 2, 4):
+        coarse, fine = (mc_autocorrelation(params, Observable(0, "r", m), 200, grid, seed=5,
+                                           sim_dt=sim_dt, batch=200).values
+                        for sim_dt in (dt, 1e-3))
+        worst = max(worst, float(np.max(np.abs(coarse - fine))) / fine[0])
+    return worst
+
+
+def test_mc_grid_step_matches_fine_step():
+    # the acceptance tests' Monte-Carlo references step at their grid dt 0.01;
+    # 5e-5 of lag 0 is under 0.05 SE of their 10,000 paths
+    assert _grid_step_bias(0.01) <= 5e-5
+
+
+def test_mc_grid_step_bound_sees_a_coarse_step():
+    # negative control: four times the step gives about sixteen times the bias
+    assert _grid_step_bias(0.04) > 5e-5
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sim_dt": -0.01}, {"sim_dt": 0.0}, {"sim_dt": math.nan}, {"sim_dt": math.inf},
+    {"batch": 0}, {"batch": -5}], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_mc_rejects_a_bad_step_or_batch(kwargs):
+    params = ChainParams(n_sites=8, alpha1=1.0, beta1=1.0, gamma=40.0)
+    grid = TimeGrid(dt=0.1, horizon=1.0)
+    with pytest.raises(ValidationError, match="sim_dt|batch"):
+        mc_autocorrelation(params, Observable(0, "r", 1), 50, grid, seed=12,
+                           **{"sim_dt": 0.01, **kwargs})
+
+
 def test_verlet_energy_drift_harmonic_mode():
     # single Fourier mode on a harmonic chain: bounded O(dt^2) energy error
     n = 32

@@ -29,6 +29,9 @@ def test_grid_validation():
         TimeGrid(dt=-0.1, horizon=1.0)
     with pytest.raises(ValidationError):
         TimeGrid(dt=0.3, horizon=1.0)
+    for dt, horizon in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            TimeGrid(dt=dt, horizon=horizon)
     g = TimeGrid(dt=0.1, horizon=1.0)
     assert g.n_nodes == 11
     assert g.times[-1] == pytest.approx(1.0)
