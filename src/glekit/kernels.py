@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .measures import ProductMeasure, moment, product_expectation
 from .poly import DEFAULT_TERM_CAP, LiouvilleOperator, Polynomial, _at_power, apply_liouville
 from .volterra import Series, _march
@@ -314,7 +314,9 @@ def _scan(mu: MuSequence, grid, orders, deltas, obs, lag: int, score, anchor=Non
     must be finite and within ``SELECT_BOUND``; C_n must pass the PSD test.
     The admissible candidate with the smallest ``score(C_n, C_{n-lag})`` wins,
     returned as its delta's kernel cut to order n (all orders at one delta
-    share the streaming term).
+    share the streaming term).  An empty order list is an input error
+    (:class:`ValidationError`); no admissible candidate is a numeric failure
+    (:class:`NumericError`) that names the rejection counts.
 
     The PSD test has two steps on Nystrom matrices built from one layout of
     the grid.  A failed Cholesky factorization of the shifted matrix
@@ -328,6 +330,8 @@ def _scan(mu: MuSequence, grid, orders, deltas, obs, lag: int, score, anchor=Non
     eigensolve alone.
     """
     from .klmodel import NystromLayout, admissible, proves_not_psd, psd_ratio
+    if not orders:
+        raise ValidationError(f"no admissible orders for mu up to index {len(mu) - 1}")
     deltas = [float(d) for d in deltas]
     solved = sorted(set(orders) | {n - lag for n in orders})
     unique = list(dict.fromkeys(deltas))
@@ -377,7 +381,7 @@ def _scan(mu: MuSequence, grid, orders, deltas, obs, lag: int, score, anchor=Non
                 reason = "not_psd"
             diag.rejected[reason] += 1
     if best is None:
-        raise ValidationError(
+        raise NumericError(
             f"no {'anchored ' if anchor else ''}stable positive-semidefinite kernel "
             f"configuration found on the candidate grid (rejected: {dict(diag.rejected)})")
     _, n, delta, diag.psd_ratio = best
@@ -412,8 +416,6 @@ def select_kernel_by_consistency(mu: MuSequence, grid, orders=None, deltas=None,
     if deltas is None:
         deltas = [round(0.2 + 0.025 * i, 4) for i in range(33)]
     orders = [n for n in orders if 2 < n <= n_max]
-    if not orders:
-        raise ValidationError("no admissible orders: need mu up to at least 7")
     return _scan(mu, grid, orders, deltas, obs, 2,
                  lambda cn, lower: float(np.max(np.abs(cn - lower))))
 

@@ -2,23 +2,23 @@
 
 A density answers ``moment(m)``, its m-th raw moment, and ``quantile(u)``,
 its inverse CDF on an array of probabilities (the KL sampler's target).  No
-other code asks which kind of density it holds, so any object with these
-two methods can stand in a :class:`ProductMeasure`.  The contract: a
-density is even, and its odd moments are exactly zero (an ``int`` 0, not a
-small float).  :func:`product_expectation` relies on it: a pair of terms
-contributes to E[f*g] only when their odd-exponent variables coincide.
-:meth:`Density1D.moment` states the rule once for the stock densities and
-caches the even moments on the instance.
-A :class:`Gaussian` has closed forms: exact (``int``/``Fraction``) moments
-for a rational gamma, and ``ndtri`` quantiles.  A :class:`QuarticGibbs`
-density reads both from one trapezoid table on [-a, a], where the density
-is e^-740 of its peak: E[x^m] is the ratio of the sums of x^m pdf and of
-pdf, and the quantile inverts the CDF.  On analytic integrands negligible
-at both ends the trapezoid rule converges geometrically in the step
-(Trefethen & Weideman, SIAM Rev. 56, 385, 2014): 4001 points give moments
-exact to rounding.  A :class:`CustomDensity` need not vanish at its ends,
-so it takes Gauss-Legendre moments, and quantiles from the same kind of
-table; it rejects a log-density that is not even on its nodes.
+other code asks which kind of density it holds, so this protocol is the
+extension point: any object with these two methods can stand in a
+:class:`ProductMeasure` or a :class:`glekit.klmodel.DensityMarginal`.  The
+contract: a density is even, and its odd moments are exactly zero (an
+``int`` 0, not a small float).  :func:`product_expectation` relies on it: a
+pair of terms contributes to E[f*g] only when their odd-exponent variables
+coincide.  :meth:`Density1D.moment` states the rule once for the stock
+densities and caches the even moments on the instance.
+The stock densities are the chain's Gibbs marginals.  A :class:`Gaussian`
+has closed forms: exact (``int``/``Fraction``) moments for a rational
+gamma, and ``ndtri`` quantiles.  A :class:`QuarticGibbs` density reads both
+from one trapezoid table on [-a, a], where the density is e^-740 of its
+peak: E[x^m] is the ratio of the sums of x^m pdf and of pdf, and the
+quantile inverts the CDF.  On analytic integrands negligible at both ends
+the trapezoid rule converges geometrically in the step (Trefethen &
+Weideman, SIAM Rev. 56, 385, 2014): 4001 points give moments exact to
+rounding.
 
 Expectations are array code.  A polynomial becomes a small-int exponent
 matrix (terms x the sorted union of the supports) and a coefficient vector;
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy import special
@@ -42,8 +42,7 @@ from scipy import special
 from .errors import ValidationError
 from .poly import Polynomial
 
-QUANTILE_GRID = 4001  # points of the trapezoid table of a numeric density
-LEGENDRE_NODES = 801  # Gauss-Legendre nodes of a CustomDensity's moments
+QUANTILE_GRID = 4001  # points of the trapezoid table of a QuarticGibbs density
 
 
 class Density1D:
@@ -57,21 +56,6 @@ class Density1D:
         if m not in cache:
             cache[m] = self._moment(m)
         return cache[m]
-
-
-def _exp_from_peak(logpdf) -> np.ndarray:
-    """exp(logpdf - max logpdf): an additive constant cannot under- or overflow it."""
-    logpdf = np.asarray(logpdf, dtype=float)
-    peak = np.max(logpdf)
-    return np.exp(logpdf - peak if np.isfinite(peak) else logpdf)
-
-
-def _grid_table(logpdf, a: float):
-    """x on [-a, a], exp(logpdf) there scaled to peak 1, and its trapezoid CDF, ending at 1."""
-    x = np.linspace(-a, a, QUANTILE_GRID)
-    pdf = _exp_from_peak(logpdf(x))
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(x) / 2)])
-    return x, pdf, cdf / cdf[-1]
 
 
 @dataclass(frozen=True)
@@ -111,11 +95,12 @@ class QuarticGibbs(Density1D):
 
     @functools.cached_property
     def _table(self):
-        """:func:`_grid_table` on [-a, a], where the density is e^-740 of its peak.
+        """Grid x on [-a, a], where the density is e^-740 of its peak; pdf; CDF.
 
         The log-density is shifted by its maximum, gamma alpha1^2 / (4 beta1)
         at the minima +-sqrt(-alpha1 / beta1) of a double well and 0 at x = 0
-        otherwise, and a grows from that minimum.
+        otherwise, and a grows from that minimum.  The pdf is scaled to peak
+        1 on the grid, and its trapezoid CDF to end at 1.
         """
         g, a1, b1 = float(self.gamma), float(self.alpha1), float(self.beta1)
         well = math.sqrt(-a1 / b1) if a1 < 0 else 0.0
@@ -126,7 +111,12 @@ class QuarticGibbs(Density1D):
             d *= 1.5
             if d > 1e8:
                 raise ValidationError("quartic density fails to decay")
-        return _grid_table(logpdf, well + d)
+        a = well + d
+        x = np.linspace(-a, a, QUANTILE_GRID)
+        lp = logpdf(x)
+        pdf = np.exp(lp - np.max(lp))
+        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * np.diff(x) / 2)])
+        return x, pdf, cdf / cdf[-1]
 
     def _moment(self, m: int):
         x, pdf, _ = self._table
@@ -134,45 +124,6 @@ class QuarticGibbs(Density1D):
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         x, _, cdf = self._table
-        return np.interp(u, cdf, x)
-
-
-@dataclass(frozen=True)
-class CustomDensity(Density1D):
-    """Unnormalized even log-density on a symmetric quadrature domain [-a, a]."""
-
-    log_density: Callable[[np.ndarray], np.ndarray]
-    halfwidth: float
-
-    def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValidationError("CustomDensity needs halfwidth > 0")
-        self._nodes  # reject an uneven log-density now, not at its first moment
-
-    @functools.cached_property
-    def _nodes(self):
-        """Gauss-Legendre nodes on [-a, a] and normalized density weights.
-
-        The nodes are exactly antisymmetric; a density that differs from its
-        mirror image there by more than 1e-12 of its peak is not even.
-        """
-        x, w = np.polynomial.legendre.leggauss(LEGENDRE_NODES)
-        x = x * self.halfwidth
-        w = w * self.halfwidth
-        dens = _exp_from_peak(self.log_density(x))
-        z = float(np.dot(w, dens))
-        if not np.isfinite(z) or z <= 0:
-            raise ValidationError("custom density does not normalize")
-        if np.max(np.abs(dens - dens[::-1])) > 1e-12 * np.max(dens):
-            raise ValidationError("custom density is not even on [-a, a]")
-        return x, w * dens / z
-
-    def _moment(self, m: int) -> float:
-        x, w = self._nodes
-        return float(np.dot(w, x**m))
-
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        x, _, cdf = _grid_table(self.log_density, self.halfwidth)
         return np.interp(u, cdf, x)
 
 

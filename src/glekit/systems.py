@@ -140,12 +140,17 @@ def _poly_from_json(spec: list, dimension: int) -> Polynomial:
         if unknown:
             raise ValidationError(f"unknown polynomial keys {sorted(unknown)}")
         num, den = entry["coeff"]
+        if type(num) is not int or type(den) is not int or den == 0:  # not bool
+            raise ValidationError(f"coeff {entry['coeff']}: need integers [num, den], den != 0")
+        raw = entry.get("exps", {})
+        if not isinstance(raw, dict):
+            raise ValidationError(f"exps {raw!r} must be a JSON object")
         exps = {}
-        for v, e in entry.get("exps", {}).items():
+        for v, e in raw.items():
             vi = int(v)
-            if not 0 <= vi < dimension:
-                raise ValidationError(f"variable index {vi} outside table")
-            if not isinstance(e, int) or e <= 0:
+            if str(vi) != v or not 0 <= vi < dimension:
+                raise ValidationError(f"variable key {v!r} is not an index below {dimension}")
+            if type(e) is not int or e <= 0:
                 raise ValidationError(f"exponent of variable {vi} must be a positive integer")
             exps[vi] = e
         terms.append((exps, Fraction(num, den)))
@@ -169,12 +174,16 @@ def load_system(path) -> PolySystem:
     unknown = set(doc) - {"variables", "terms"}
     if unknown:
         raise ValidationError(f"unknown system keys {sorted(unknown)}")
-    names = tuple(doc["variables"])
+    names = doc["variables"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValidationError(f"variables {names!r} must be a list of names")
     dim = len(names)
     terms = []
     for entry in doc["terms"]:
         unknown = set(entry) - {"target", "rhs"}
         if unknown:
             raise ValidationError(f"unknown term keys {sorted(unknown)}")
-        terms.append((int(entry["target"]), _poly_from_json(entry["rhs"], dim)))
-    return PolySystem(LiouvilleOperator(dim, terms), names)
+        if type(entry["target"]) is not int:
+            raise ValidationError(f"target {entry['target']!r} must be an integer")
+        terms.append((entry["target"], _poly_from_json(entry["rhs"], dim)))
+    return PolySystem(LiouvilleOperator(dim, terms), tuple(names))

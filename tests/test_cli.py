@@ -614,6 +614,48 @@ def test_unreadable_config_or_system_exit_code(tmp_path, capsys):
     assert "no_sys.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index, key, value", [
+    (0, "coeff", [1, 0]),
+    (0, "coeff", [True, 1]),
+    (0, "exps", {"1": True}),
+    (0, "exps", {" 1": 1}),
+    (0, "exps", [1]),
+    (0, "target", 0.9),
+    (1, "target", "1"),
+    (1, "target", True),
+], ids=["zero_den", "bool_num", "bool_exp", "spaced_var", "list_exps",
+        "float_target", "str_target", "bool_target"])
+def test_malformed_system_file_exit_code(tmp_path, capsys, index, key, value):
+    # dx/dt = y, dy/dt = -x, with one entry made malformed
+    doc = {"variables": ["x", "y"], "terms": [
+        {"target": 0, "rhs": [{"coeff": [1, 1], "exps": {"1": 1}}]},
+        {"target": 1, "rhs": [{"coeff": [-1, 1], "exps": {"0": 1}}]}]}
+    term = doc["terms"][index]
+    (term if key == "target" else term["rhs"][0])[key] = value
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"file": str(sys_file)}, observable={"var": 0},
+                       kernel={"basis": "dyson", "order": 4})
+    assert main(["kernel", str(cfg)]) == 2
+    assert "sys.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_without_admissible_candidate_exit_code(tmp_path, capsys):
+    # a strongly nonlinear chain: every candidate blows up or is indefinite
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
+                       system={"name": "fpu_chain", "n_sites": 100, "alpha1": 1, "beta1": 1},
+                       observable={"field": "r", "site": 50},
+                       kernel={"basis": "faber", "order": 20, "delta": "consistency"},
+                       grid={"dt": 0.01, "horizon": 4.0})
+    assert main(["correlate", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: no stable positive-semidefinite kernel")
+    assert "'bound': 263" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"),
                        system={"name": "fpu_chain", "n_sites": 16, "beta1": 1.0},

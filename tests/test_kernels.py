@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from glekit.errors import TermBudgetError, ValidationError
+from glekit.errors import NumericError, TermBudgetError, ValidationError
 from glekit.kernels import (
     FaberParams,
     GammaSequence,
@@ -506,8 +506,26 @@ def test_scan_winner_is_its_truncation_built_alone(quartic_selection, select):
 
 def test_selector_error_names_rejection_reasons(quartic_selection):
     mus, obs, grid, indefinite = quartic_selection
-    with pytest.raises(ValidationError, match="not_psd"):
+    with pytest.raises(NumericError, match="not_psd"):
         select_kernel_by_consistency(mus, grid, orders=[6], deltas=[0.3], obs=obs)
+
+
+def test_selector_rejects_a_failed_solve():
+    # moments up to 1e300 give kernels near 1e295, whose march overflows, so
+    # no correlation is finite and every candidate is a failed solve
+    mu = MuSequence((0, -2, 0) + tuple((-1) ** (i // 2) * 1e30 ** min(i, 10) if i % 2 == 0
+                                       else 0 for i in range(4, 25)))
+    with pytest.raises(NumericError, match=r"\{'solve': 3\}"):
+        select_kernel_by_consistency(mu, TimeGrid(dt=0.01, horizon=1.0),
+                                     orders=[6, 8, 20], deltas=[0.5])
+
+
+def test_selectors_without_admissible_orders_are_input_errors():
+    mu, grid = MuSequence((0, -2, 0, 6, 0, -20)), TimeGrid(dt=0.1, horizon=1.0)
+    with pytest.raises(ValidationError, match="no admissible orders"):
+        select_kernel_by_consistency(mu, grid)
+    with pytest.raises(ValidationError, match="no admissible orders"):
+        select_kernel_by_reference(mu, grid, np.ones(grid.n_nodes), orders=[8])
 
 
 def test_consistency_scan_solves_each_correlation_once(quartic_selection, monkeypatch):

@@ -364,14 +364,24 @@ def test_scratch_blocks_do_not_move_sampled_values(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * acf[0][0]
 
 
+class _Uniform:
+    """Uniform on [-sqrt(3), sqrt(3)], variance 1, defined outside the package."""
+
+    def moment(self, m):
+        return 0 if m % 2 else 3 ** (m // 2) / (m + 1)
+
+    def quantile(self, u):
+        return math.sqrt(3.0) * (2 * np.asarray(u) - 1)
+
+
 def test_single_mode_marginal_remap():
     # degenerate rank-one basis: the remap drives a distinctly non-Gaussian
-    # (uniform) one-time marginal whose variance matches C(0)
-    from glekit.measures import CustomDensity
+    # (uniform) one-time marginal whose variance matches C(0); the density is
+    # a test-local class, so any object with moment() and quantile() stands in
     grid = TimeGrid(dt=0.1, horizon=1.0)
     basis = kl_decompose(Series(grid, np.ones(grid.n_nodes)))
-    half = math.sqrt(3.0)  # uniform on [-sqrt(3), sqrt(3)] has variance 1
-    marginal = DensityMarginal(CustomDensity(lambda x: np.zeros_like(x), half))
+    marginal = DensityMarginal(_Uniform())
+    assert marginal.variance == 1.0
     ens = sample_ensemble(basis, marginal, 100_000, seed=7)
     probes = np.linspace(0.01, 0.99, 99)
     got = np.quantile(ens.paths[:, 0], probes)

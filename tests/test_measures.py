@@ -12,7 +12,6 @@ import pytest
 
 from glekit.errors import ValidationError
 from glekit.measures import (
-    CustomDensity,
     Gaussian,
     ProductMeasure,
     QuarticGibbs,
@@ -133,8 +132,7 @@ def test_quartic_odd_moments_exact_zero():
 
 
 def test_quartic_zeroth_moment():
-    for d in (Gaussian(5), QuarticGibbs(7.0, 2.0, 3.0),
-              CustomDensity(lambda x: -x**4, 6.0)):
+    for d in (Gaussian(5), QuarticGibbs(7.0, 2.0, 3.0)):
         assert abs(float(moment(d, 0)) - 1.0) < 1e-10
 
 
@@ -156,31 +154,8 @@ def test_invalid_density_configs():
         Gaussian(0)
 
 
-def test_custom_density_moments():
-    # uniform on [-1, 1]: <x^2> = 1/3, <x^4> = 1/5
-    d = CustomDensity(lambda x: np.zeros_like(x), 1.0)
-    assert moment(d, 2) == pytest.approx(1 / 3, rel=1e-10)
-    assert moment(d, 4) == pytest.approx(1 / 5, rel=1e-10)
-
-
-def test_custom_density_rejects_uneven_log_density():
-    # product_expectation pairs terms by their odd variables, so an uneven
-    # density would give E[(x0 + x1^2)(x0^2 + x1)] = 0.309 instead of 1.647
-    with pytest.raises(ValidationError, match="not even"):
-        CustomDensity(lambda x: -x**4 + 2 * x, 4.0)
-
-
-def test_custom_density_ignores_an_additive_log_constant():
-    # exp(-800) underflows to 0, so the log-density is exponentiated from its peak
-    near, far = (CustomDensity(lambda x, c=c: -x**2 / 2 - c, 8.0) for c in (700.0, 800.0))
-    assert moment(far, 2) == pytest.approx(moment(near, 2), abs=1e-12)
-    assert moment(far, 2) == pytest.approx(1.0, abs=1e-12)
-    u = np.linspace(0.01, 0.99, 9)
-    np.testing.assert_allclose(far.quantile(u), near.quantile(u), rtol=0, atol=1e-12)
-
-
 def test_odd_moments_are_int_zero_for_every_density():
-    for d in (Gaussian(Fraction(3)), QuarticGibbs(40.0), CustomDensity(lambda x: -x**4, 6.0)):
+    for d in (Gaussian(Fraction(3)), QuarticGibbs(40.0)):
         for m in (1, 3, 7):
             assert moment(d, m) == 0 and isinstance(moment(d, m), int)
 
@@ -191,12 +166,12 @@ def test_moment_order_must_be_a_nonnegative_int(order):
         moment(Gaussian(1), order)
 
 
-def test_product_expectation_matches_materialized_product_on_custom_density():
-    """Terms mixing odd and even exponents on 3 variables of an even custom
+def test_product_expectation_matches_materialized_product_on_quartic_density():
+    """Terms mixing odd and even exponents on 3 variables of a quartic Gibbs
     density: pairing by odd variables loses nothing.  Positive coefficients
     keep E[f*g] away from 0, so the check is relative."""
     rng = np.random.default_rng(23)
-    mu = ProductMeasure.uniform(CustomDensity(lambda x: -x**4 / 4 - x**2 / 2, 5.0), 3)
+    mu = ProductMeasure.uniform(QuarticGibbs(1.0, 1.0, 1.0), 3)
     for _ in range(10):
         f, g = random_poly(rng, 3, 6, signed=False), random_poly(rng, 3, 5, signed=False)
         for a, b in ((f, g), (f, f)):

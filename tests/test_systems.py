@@ -82,3 +82,13 @@ def test_system_file_rejects_bad_variable(tmp_path):
                     '[{"target": 0, "rhs": [{"coeff": [1, 1], "exps": {"3": 1}}]}]}')
     with pytest.raises(ValidationError):
         load_system(path)
+
+
+@pytest.mark.parametrize("names", ['"xy"', '[1, 2]'])
+def test_system_file_variables_are_a_list_of_names(tmp_path, names):
+    # a string would be split into one variable per character
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"variables": {names}, "terms": '
+                    '[{"target": 0, "rhs": [{"coeff": [1, 1], "exps": {"1": 1}}]}]}')
+    with pytest.raises(ValidationError, match="list of names"):
+        load_system(path)
