@@ -34,6 +34,7 @@ from .klmodel import (
     DensityMarginal,
     higher_order_acf,
     kl_decompose,
+    psd_ratio,
     sample_ensemble,
 )
 from .measures import Gaussian, ProductMeasure, gibbs_measure
@@ -107,6 +108,8 @@ def _kernel_pipeline(cfg: ExperimentConfig):
             "psd_ratio": diag.psd_ratio,
             "psd_margin": diag.psd_ratio + CLIP_TOL,  # distance above -CLIP_TOL
             "eigensolves": diag.eigensolves,  # PSD tests the certificate left open
+            # whether -K is a covariance on the grid, as the FDT noise needs
+            "kernel_psd_ratio": psd_ratio(Series(cfg.grid, -kernel(cfg.grid.times))),
         }
         return ctx, gam, mu, kernel, {"selection": selection}
     fp = estimate_scaling(gam) if kc.delta is None else FaberParams(delta=kc.delta)
@@ -243,7 +246,8 @@ def cmd_kl(cfg: ExperimentConfig, correlation_file: str | None = None) -> int:
         acf, target = ah @ (g @ ah[0]), -float(ctx.obs.gram) * kernel(grid.times)
         write_columns(out / "noise_acf.csv",
                       {"t": grid.times, "acf": acf, "fdt_target": target}, meta)
-        fdt = {"fdt": {"sup_deviation": float(np.max(np.abs(acf - target)) / abs(target[0]))}}
+        fdt = {"fdt": {"sup_deviation": float(np.max(np.abs(acf - target)) / abs(target[0])),
+                       "kernel_psd_ratio": psd_ratio(Series(grid, target))}}
     if cfg.kl.export_xi:
         write_columns(out / "xi.csv",
                       {f"xi{k + 1}": ens.xi[:, k] for k in range(ens.basis.rank)},

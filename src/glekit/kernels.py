@@ -318,11 +318,13 @@ def _scan(mu: MuSequence, grid, orders, deltas, obs, lag: int, score, anchor=Non
     (:class:`ValidationError`); no admissible candidate is a numeric failure
     (:class:`NumericError`) that names the rejection counts.
 
-    The PSD test has two steps on Nystrom matrices built from one layout of
-    the grid.  A failed Cholesky factorization of the shifted matrix
+    The PSD test has two steps on the even and odd halves of the Nystrom
+    matrix, about n/2 wide each, whose spectra together are the matrix's
+    (:class:`glekit.klmodel.NystromLayout`, built once for the grid).  A
+    failed Cholesky factorization of either shifted half
     (:func:`glekit.klmodel.proves_not_psd`) proves the candidate indefinite
     beyond the clip tolerance and rejects it.  Every other candidate gets
-    the eigensolve of :func:`glekit.klmodel.psd_ratio` and the comparison
+    the eigensolves of :func:`glekit.klmodel.psd_ratio` and the comparison
     of :func:`glekit.klmodel.admissible`, which is the test of
     :func:`glekit.klmodel.kl_decompose`.  The certificate only saves
     eigensolves: a candidate it rejects would fail the eigensolve's test

@@ -1,11 +1,15 @@
 """Karhunen-Loeve models of stationary scalar processes on a finite window.
 
 The decomposition discretizes the covariance eigenproblem with trapezoid
-weights (Nystrom), sampling draws Gaussian amplitudes and then alternates
-rank remapping to a target one-time marginal with re-projection onto the
-modes, and the fluctuation construction reuses each sample's amplitudes,
-making the correspondence between observable paths and noise paths hold per
-realization rather than in distribution only.
+weights (Nystrom).  Mirror-symmetric weights make that matrix
+centrosymmetric, so it is solved on its even and odd halves, each about
+half as wide, and every mode is mirrored from its half: it is its own
+reversal up to sign, and its sign does not follow rounding.  Sampling draws
+Gaussian amplitudes and then alternates rank remapping to a target one-time
+marginal with re-projection onto the modes, and the fluctuation
+construction reuses each sample's amplitudes, making the correspondence
+between observable paths and noise paths hold per realization rather than
+in distribution only.
 """
 
 from __future__ import annotations
@@ -57,35 +61,62 @@ class KLBasis:
 
 @dataclass(frozen=True)
 class NystromLayout:
-    """Weights sqrt(w_i w_j) of the Nystrom matrices on a grid.
+    """Weights of the two centrosymmetric halves of the Nystrom matrices on a grid.
 
-    ``w`` are the trapezoid weights of the grid.  Every correlation on the
-    grid shares them, so a selection scan builds them once.
+    The Nystrom matrix B = sqrt(w_i) C(|t_i - t_j|) sqrt(w_j) of a
+    stationary correlation on a uniform grid commutes with the reversal J
+    of the nodes, since the trapezoid weights w are mirror-symmetric.  So
+    its eigenvectors are even or odd under J, and B is orthogonally similar
+    to two blocks about n/2 wide (Cantoni & Butler, Linear Algebra Appl.
+    13, 275, 1976):
+
+    - the even half (T + H) h_i h_j on nodes 0 .. ceil(n/2) - 1,
+    - the odd half (T - H) h_i h_j on nodes 0 .. floor(n/2) - 1,
+
+    with T_ij = C(|i - j|), H_ij = C(n - 1 - i - j) and h = sqrt(w) on the
+    first half, its centre entry divided by sqrt(2) when n is odd.  The
+    spectrum of B is the union of the halves' spectra.  ``sw`` is sqrt(w)
+    on every node and must be mirror-symmetric; ``weights`` is outer(h, h).
+    Every correlation on the grid shares them, so a selection scan builds
+    them once.
     """
 
-    weights: np.ndarray
-    sw: np.ndarray                   # sqrt(w)
+    sw: np.ndarray
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        h = self.sw[:(len(self.sw) + 1) // 2].copy()
+        if len(self.sw) % 2:
+            h[-1] /= math.sqrt(2.0)
+        object.__setattr__(self, "weights", np.outer(h, h))
 
     @classmethod
     def of(cls, grid: TimeGrid) -> "NystromLayout":
-        sw = np.sqrt(grid.trapezoid_weights())
-        return cls(np.outer(sw, sw), sw)
+        return cls(np.sqrt(grid.trapezoid_weights()))
 
-    def matrix(self, vals: np.ndarray) -> np.ndarray:
-        """Symmetrized Nystrom matrix sqrt(w_i) C(|t_i - t_j|) sqrt(w_j).
+    def halves(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The even and the odd half of the Nystrom matrix of ``vals``.
 
-        It shares its eigenvalues with the discretized covariance operator.
-        The Toeplitz factor C(|t_i - t_j|) is a strided view of C at the
-        lags -(n - 1) .. n - 1, so the product is the only n x n array made.
+        With k the even half's width, T is a strided view of C at the lags
+        -(k - 1) .. k - 1 and H one at the lags n - 1 down to n + 1 - 2k;
+        the odd half uses their leading blocks.  The two halves are the only
+        arrays made.
         """
-        n = len(vals)
-        lags = np.concatenate([vals[:0:-1], vals])
-        return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1] * self.weights
+        k, m = len(self.weights), len(vals) // 2
+        view = np.lib.stride_tricks.sliding_window_view
+        t = view(np.concatenate([vals[k - 1:0:-1], vals[:k]]), k)[::-1]
+        h = view(vals[::-1][:2 * k - 1], k)
+        even = np.add(t, h)
+        even *= self.weights
+        odd = np.subtract(t[:m, :m], h[:m, :m])
+        odd *= self.weights[:m, :m]
+        return even, odd
 
 
 def _eigen_ratio(lam: np.ndarray) -> float:
-    """lam[0] / lam[-1] of ascending eigenvalues; -inf unless lam[-1] > 0."""
-    return float(lam[0] / lam[-1]) if lam[-1] > 0 else -math.inf
+    """min(lam) / max(lam); -inf unless max(lam) > 0."""
+    top = lam.max()
+    return float(lam.min() / top) if top > 0 else -math.inf
 
 
 def admissible(ratio: float) -> bool:
@@ -99,7 +130,9 @@ def admissible(ratio: float) -> bool:
 def psd_ratio(c: Series, layout: NystromLayout | None = None) -> float:
     """Smallest over largest eigenvalue of the Nystrom matrix of ``c``.
 
-    A correlation is a valid covariance for :func:`kl_decompose` when this
+    The extremes are taken over the eigenvalues of the two halves of
+    :class:`NystromLayout`, whose union is the Nystrom matrix's spectrum.  A
+    correlation is a valid covariance for :func:`kl_decompose` when this
     ratio is :func:`admissible`; ``-inf`` is returned when the largest
     eigenvalue is not positive.  A caller that tests many correlations on
     one grid passes its ``layout``.  The selection scans call it only for
@@ -107,44 +140,69 @@ def psd_ratio(c: Series, layout: NystromLayout | None = None) -> float:
     """
     if layout is None:
         layout = NystromLayout.of(c.grid)
-    return _eigen_ratio(np.linalg.eigvalsh(layout.matrix(c.values)))
+    return _eigen_ratio(np.concatenate(
+        [np.linalg.eigvalsh(b) for b in layout.halves(c.values)]))
 
 
 def proves_not_psd(c: Series, layout: NystromLayout) -> bool:
     """True when a failed Cholesky factorization proves ``c`` inadmissible.
 
-    With B the Nystrom matrix of ``c`` and U its largest absolute row sum,
-    Gershgorin gives U >= lambda_max.  The factorization of B + s I, with
-    s = U (CLIP_TOL (1 + CERT_MARGIN) + n (n + 1) eps), fails only if
-    lambda_min(B) + s <= n (n + 1) eps (lambda_max + s) (Demmel's bound;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
-    10), so a failure proves lambda_min / lambda_max < -CLIP_TOL (1 +
-    CERT_MARGIN).  The margin exceeds the rounding of the eigensolve in
-    :func:`psd_ratio`, about n eps |B|, up to some 9,000 nodes, so a
-    candidate it rejects would not be :func:`admissible` either.  A False
-    proves nothing: the caller then runs the eigensolve.  The factorization
-    costs about a third of it.
+    The test runs on the two halves of ``layout``, whose spectra make up
+    that of the n-node Nystrom matrix B, and :func:`psd_ratio` reads the
+    same computed halves, so both judge one spectrum.  Forming T +- H and
+    its weights rounds each entry by a few eps of (|T| + |H|) h_i h_j, so
+    that spectrum is within a few sqrt(n) eps |B| of B's (Weyl), less than
+    the eigensolve's rounding below.
+
+    Let L be the largest eigenvalue of the halves, U the larger of their
+    largest absolute row sums (Gershgorin gives U >= L), c = CLIP_TOL (1 +
+    CERT_MARGIN) and d = n (n + 1) eps.  Each half X, k <= n nodes wide, is
+    shifted by s = U (c + d) and factored.  The factorization fails only if
+    lambda_min(X) + s <= k (k + 1) eps (lambda_max(X) + s) <= d (L + s)
+    (Demmel's bound; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10).  With s >= L (c + d) this gives
+    lambda_min(X) <= -L (c (1 - d) - d^2), so a failure of either half
+    proves lambda_min / lambda_max < -CLIP_TOL (1 + CERT_MARGIN - d -
+    d^2 / CLIP_TOL).  The margin exceeds d, d^2 / CLIP_TOL and the rounding
+    of the eigensolves in :func:`psd_ratio`, about (n / 2) eps |B| on
+    halves n / 2 wide, up to some 8,000 nodes, so a candidate it rejects
+    would not be :func:`admissible` either.  A False proves nothing: the
+    caller then runs the eigensolve.  The factorizations cost about a fifth
+    of it.
     """
     from scipy.linalg.lapack import dpotrf
-    b = layout.matrix(c.values)
-    u = np.max(np.sum(np.abs(b), axis=1))
-    n = len(b)
-    b.flat[::n + 1] += u * (CLIP_TOL * (1 + CERT_MARGIN) + n * (n + 1) * np.finfo(float).eps)
-    # b is symmetric, so b.T is the same matrix in the Fortran order that
-    # dpotrf factors in place; info > 0 names a minor that is not positive
-    return dpotrf(b.T, lower=1, clean=0, overwrite_a=1)[1] > 0
+    halves = layout.halves(c.values)
+    u = max(np.max(np.sum(np.abs(b), axis=1)) for b in halves)
+    n = len(c.values)
+    shift = u * (CLIP_TOL * (1 + CERT_MARGIN) + n * (n + 1) * np.finfo(float).eps)
+    for b in halves:
+        b.flat[::len(b) + 1] += shift
+        # b is symmetric, so b.T is the same matrix in the Fortran order that
+        # dpotrf factors in place; info > 0 names a minor that is not positive
+        if dpotrf(b.T, lower=1, clean=0, overwrite_a=1)[1] > 0:
+            return True
+    return False
 
 
 def kl_decompose(c: Series) -> KLBasis:
     """Nystrom KL decomposition of a stationary auto-correlation series.
 
-    Builds the kernel matrix C(|t_i - t_j|), symmetrizes with square-root
-    trapezoid weights, solves the dense eigenproblem and rescales the
-    eigenvectors to continuous L2 orthonormality.  Modes below
-    ``ENERGY_FLOOR`` of the leading eigenvalue are dropped.  Negative eigenvalues up
-    to ``CLIP_TOL`` of the leading one (roundoff, or mild model error in an
+    Solves the dense eigenproblems of the two halves of the symmetrized
+    Nystrom matrix (:class:`NystromLayout`) and merges their eigenvalues in
+    descending order.  Each kept eigenvector of the full matrix mirrors its
+    half-vector y: (y, J y) / sqrt(2) for an even mode, (y, -J y) / sqrt(2)
+    for an odd one, where an odd node count keeps the even mode's centre
+    entry and gives the odd mode a 0 there.  Dividing by sqrt(w) rescales
+    them to continuous L2 orthonormality.  Modes below ``ENERGY_FLOOR`` of
+    the leading eigenvalue are dropped.  Negative eigenvalues up to
+    ``CLIP_TOL`` of the leading one (roundoff, or mild model error in an
     approximate correlation) are clipped at zero; anything worse is rejected
     as an invalid covariance.
+
+    Every mode equals its reversal exactly, up to sign.  The sign makes the
+    first largest-magnitude entry positive.  Mirrored entries tie exactly,
+    so rounding in ``c`` cannot choose between the two copies of an odd
+    mode's peak.
     """
     vals = c.values
     if vals[0] <= 0:
@@ -152,23 +210,33 @@ def kl_decompose(c: Series) -> KLBasis:
     if not np.all(np.isfinite(vals)):
         raise NumericError("covariance series has non-finite entries")
     layout = NystromLayout.of(c.grid)
-    lam, y = np.linalg.eigh(layout.matrix(vals))
-    if lam[-1] <= 0:
+    (lam_even, y_even), (lam_odd, y_odd) = (np.linalg.eigh(b) for b in layout.halves(vals))
+    lam = np.concatenate([lam_even, lam_odd])
+    if lam.max() <= 0:
         raise ValidationError("covariance kernel is not positive")
     if not admissible(_eigen_ratio(lam)):
         raise ValidationError(
             "input is not positive semidefinite beyond the clip tolerance")
-    lam, y = lam[::-1], y[:, ::-1]
-    lam = np.clip(lam, 0.0, None)
+    order = np.argsort(-lam, kind="stable")
+    lam = np.clip(lam[order], 0.0, None)
     trace_discrete = float(np.sum(lam))
     keep = lam > ENERGY_FLOOR * lam[0]
-    lam = lam[keep]
-    modes = y[:, keep] / layout.sw[:, None]
-    # deterministic sign: largest-magnitude component positive
-    for k in range(modes.shape[1]):
-        j = np.argmax(np.abs(modes[:, k]))
-        if modes[j, k] < 0:
-            modes[:, k] = -modes[:, k]
+    lam, order = lam[keep], order[keep]
+    n, k, m = len(vals), len(lam_even), len(lam_odd)
+    even = order < k
+    half = np.zeros((k, len(order)))
+    half[:, even] = y_even[:, order[even]]
+    half[:m, ~even] = y_odd[:, order[~even] - k]
+    # mode values on nodes 0 .. k - 1: y / (sqrt(2) sqrt(w)), the centre y / sqrt(w)
+    scale = math.sqrt(2.0) * layout.sw[:k]
+    scale[m:] = layout.sw[m:k]
+    half /= scale[:, None]
+    peak = half[np.argmax(np.abs(half), axis=0), np.arange(len(order))]
+    half[:, peak < 0] *= -1.0
+    modes = np.empty((n, len(order)))
+    modes[:k] = half
+    modes[k:] = half[m - 1::-1]
+    modes[k:, ~even] *= -1.0
     return KLBasis(grid=c.grid, eigenvalues=lam, modes=modes,
                    source_acf=vals.copy(), trace_discrete=trace_discrete)
 

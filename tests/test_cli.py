@@ -83,6 +83,31 @@ def test_consistency_selection_in_manifests(tmp_path):
     assert "selection" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
 
 
+@pytest.mark.filterwarnings("ignore:marginal sampler did not converge")
+def test_kernel_psd_ratio_in_manifests(tmp_path):
+    # the quartic gamma = 40 chain with the n = 16 table: the scan's choice
+    # has a correlation that is a covariance, while -K is not one on [0, 4]
+    from glekit.klmodel import CLIP_TOL
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", output_dir=str(out),
+                       system={"name": "fpu_chain", "n_sites": 100, "alpha1": 1.0,
+                               "beta1": 1.0, "mass": 1.0},
+                       observable={"field": "r", "site": 50, "power": 1},
+                       kernel={"basis": "faber", "order": 14, "delta": "consistency"},
+                       grid={"horizon": 4.0, "dt": 0.01},
+                       kl={"n_samples": 2000, "iters": 1, "seed": 3}, gamma=40.0)
+    assert main(["kl", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    sel = manifest["selection"]
+    assert (sel["order"], sel["delta"]) == (6, 0.35)
+    assert sel["psd_ratio"] >= -CLIP_TOL
+    assert sel["kernel_psd_ratio"] == pytest.approx(-1.96e-5, rel=0.01)
+    assert sel["kernel_psd_ratio"] < -CLIP_TOL
+    # the FDT target -<u0, u0> K has the same ratio
+    assert manifest["fdt"]["kernel_psd_ratio"] == pytest.approx(sel["kernel_psd_ratio"],
+                                                                rel=1e-9)
+
+
 def test_correlate_from_kernel_file(tmp_path, capsys):
     grid = TimeGrid(dt=0.01, horizon=5.0)
     t = grid.times

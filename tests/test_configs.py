@@ -88,7 +88,10 @@ def test_documented_commands_run(tmp_path, monkeypatch, name):
         assert 0 <= sel["gap"] < np.inf and sel["eigensolves"] >= sel["admissible"] >= 1
         # the FDT closed loop as the manifest reports it, rebuilt from the CSV
         deviation = np.max(np.abs(cols["acf"] - cols["fdt_target"])) / abs(cols["fdt_target"][0])
-        assert manifest["fdt"] == {"sup_deviation": deviation}
+        # and -K's Nystrom ratio, which the selection block reports too
+        assert manifest["fdt"] == {
+            "sup_deviation": deviation,
+            "kernel_psd_ratio": pytest.approx(sel["kernel_psd_ratio"], rel=1e-9)}
 
 
 def test_entry_point_exit_codes(tmp_path):

@@ -121,6 +121,47 @@ def test_invalid_covariance_rejected():
         kl_decompose(Series(grid, bad))
 
 
+def full_nystrom(vals, sw):
+    """The n x n Nystrom matrix sqrt(w_i) C(|t_i - t_j|) sqrt(w_j)."""
+    n = len(vals)
+    return vals[np.abs(np.arange(n)[:, None] - np.arange(n))] * np.outer(sw, sw)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 400, 401])
+def test_halves_share_the_full_spectrum(n):
+    # the even and odd halves together have the full matrix's eigenvalues,
+    # on even and odd node counts down to the smallest grids
+    grid = TimeGrid(dt=0.01, horizon=(n - 1) * 0.01)
+    t = grid.times
+    vals = np.exp(-0.3 * t) * (np.cos(2.0 * t) + 0.4 * np.cos(7.0 * t))
+    layout = NystromLayout.of(grid)
+    full = np.linalg.eigvalsh(full_nystrom(vals, layout.sw))
+    even, odd = layout.halves(vals)
+    assert (len(even), len(odd)) == ((n + 1) // 2, n // 2)
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    assert np.max(np.abs(merged - full)) <= 1e-14 * full[-1]
+
+
+def test_mode_signs_do_not_follow_rounding():
+    # each mode is its own reversal up to sign, bit for bit, so the peak that
+    # fixes an odd mode's sign cannot move to its mirror image under a
+    # perturbation of C at the rounding level
+    grid = TimeGrid(dt=0.01, horizon=10.0)
+    vals = special.jv(0, 2 * grid.times)
+    basis = kl_decompose(Series(grid, vals))
+    assert basis.rank == 13
+    for mode in basis.modes.T:
+        assert np.array_equal(mode[::-1], mode) or np.array_equal(mode[::-1], -mode)
+    w = grid.trapezoid_weights()
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        noisy = vals * (1 + 1e-15 * rng.standard_normal(len(vals)))
+        other = kl_decompose(Series(grid, noisy))
+        assert other.rank == basis.rank
+        overlap = np.sum(other.modes * basis.modes * w[:, None], axis=0)
+        assert np.all(overlap > 0.99)
+
+
 # ratios around the clip tolerance: just past it either way, and within the
 # eigensolve's rounding of it
 NEAR_CLIP = [-CLIP_TOL * (1 + f) for f in (1e-3, -1e-3, 1e-8, -1e-8)]
@@ -165,7 +206,7 @@ def test_certificate_margin_on_tight_gershgorin_bound(target):
     shift = 2 * target / (1 - target)  # eigenvalues 1 + shift + cos(2 pi k / n)
     vals = np.zeros(n)
     vals[0], vals[1], vals[-1] = 1 + shift, 0.5, 0.5
-    unit = NystromLayout(np.ones((n, n)), np.ones(n))
+    unit = NystromLayout(np.ones(n))
     c = Series(grid, vals)
     assert psd_ratio(c, unit) == pytest.approx(target, rel=1e-7)
     assert proves_not_psd(c, unit) == (target == NEAR_CLIP[0])
@@ -183,7 +224,7 @@ def test_certificate_rejects_only_inadmissible(decay, freq, second, nodes, dt, e
     t = grid.times
     vals = np.exp(-decay * t) * (np.cos(freq * t) + second * np.cos(3.1 * freq * t))
     layout = NystromLayout.of(grid)
-    lam = np.linalg.eigvalsh(layout.matrix(vals))
+    lam = np.linalg.eigvalsh(full_nystrom(vals, layout.sw))
     vals[0] += (-CLIP_TOL * (1 + excess) * lam[-1] - lam[0]) / dt
     c = Series(grid, vals)
     if proves_not_psd(c, layout):
